@@ -27,8 +27,6 @@ void MultiCrackRequest::validate() const {
               "maximum key length above the kernel limit");
   GKS_REQUIRE(max_length + salt.extra_length() <= 55,
               "key plus salt must fit a single hash block");
-  GKS_REQUIRE(filter_fpr > 0 && filter_fpr <= 0.5,
-              "filter false-positive rate must be in (0, 0.5]");
   for (const std::string& hex : target_hexes) {
     GKS_REQUIRE(from_hex(hex).size() == hash::digest_size(algorithm),
                 "digest length does not match the algorithm");

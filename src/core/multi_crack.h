@@ -36,15 +36,6 @@ struct MultiCrackRequest {
   /// ablation benches and scalar-vs-lane differential tests.
   bool lane_scanning = true;
 
-  /// Toggles the TargetIndex front gate (direct bit array below the
-  /// cache-residency cap, blocked Bloom filter above it). Off makes
-  /// every candidate fall through to the exact slot lookup — ablation
-  /// benches and gate-on/off differential tests.
-  bool filter_gate = true;
-  /// Designed false-positive rate of the gate; governs the Bloom
-  /// sizing at million-target batches (see docs/multi_target.md).
-  double filter_fpr = 1.0 / 64;
-
   void validate() const;
 };
 

@@ -329,9 +329,9 @@ std::string MultiSweeper::slot_hex(std::size_t slot) const {
 }
 
 hash::TargetIndex::Config MultiSweeper::index_config() const {
+  // The gate runs at TargetIndex's defaults: on, designed for a 1/64
+  // false-positive rate (docs/multi_target.md).
   hash::TargetIndex::Config cfg;
-  cfg.fpr = request_.filter_fpr;
-  cfg.gate = request_.filter_gate;
   cfg.stats = &index_stats_;
   return cfg;
 }

@@ -12,6 +12,30 @@ namespace gks::dist {
 
 namespace {
 
+/// Floor on granted lease sizes, in candidates: bounds per-lease
+/// bookkeeping, and is what degraded workers are clamped to.
+constexpr u128 kMinLease{4096};
+
+// --- Worker health policy (docs/distributed.md, "Failure model") ---
+// Scores are per worker *name* and accumulate strikes weighted by
+// offence; clean retires heal. The lifecycle degrades gradually:
+//   score >= kDegradedScore    leases clamp to kMinLease
+//   score >= kQuarantineScore  no leases for quarantine_s
+//   score >= kDisconnectScore  ejected: hellos rejected until a
+//                              probation period passes; the worker
+//                              re-enters at kDegradedScore, not zero
+constexpr double kDegradedScore = 3.0;
+constexpr double kQuarantineScore = 6.0;
+constexpr double kDisconnectScore = 10.0;
+/// Score healed by each clean retire.
+constexpr double kHealPerRetire = 0.5;
+// Strike weights.
+constexpr double kStrikeProtocol = 1.0;      ///< malformed request
+constexpr double kStrikeForgedFound = 2.0;   ///< found failing digest check
+constexpr double kStrikeLeaseExpired = 1.0;  ///< lease lost to the reaper
+constexpr double kStrikeLateRetire = 0.5;    ///< retire of a dead lease
+constexpr double kStrikeSilence = 1.0;       ///< session_timeout_s silent
+
 /// Registry mirrors of Coordinator::Stats plus the grant→retire
 /// turnaround histogram; bumped alongside the struct counters so the
 /// metrics verb and the Prometheus endpoint see the same story.
@@ -85,9 +109,8 @@ Coordinator::Coordinator(service::JobManager& manager, Transport& transport,
   GKS_REQUIRE(config_.heartbeat_s > 0, "heartbeat cadence must be positive");
   GKS_REQUIRE(config_.heartbeat_s < config_.lease_s,
               "heartbeat cadence must beat the lease lifetime");
-  GKS_REQUIRE(config_.min_lease > u128(0), "min lease must be positive");
-  GKS_REQUIRE(config_.min_lease <= config_.max_lease,
-              "min lease above max lease");
+  GKS_REQUIRE(kMinLease <= config_.max_lease,
+              "max lease below the minimum lease");
 }
 
 Coordinator::~Coordinator() { stop(); }
@@ -143,12 +166,12 @@ void Coordinator::strike_locked(const std::string& name, double weight,
   ++h.strikes;
   if (counter != nullptr) ++(h.*counter);
   const double now = transport_.now_s();
-  if (!h.ejected && h.score >= config_.disconnect_score) {
+  if (!h.ejected && h.score >= kDisconnectScore) {
     h.ejected = true;
     h.ejected_at = now;
     ++stats_.workers_ejected;
     cmetrics().ejected.add(1);
-  } else if (!h.ejected && h.score >= config_.quarantine_score &&
+  } else if (!h.ejected && h.score >= kQuarantineScore &&
              now >= h.quarantined_until) {
     h.quarantined_until = now + config_.quarantine_s;
     ++stats_.workers_quarantined;
@@ -160,14 +183,14 @@ void Coordinator::heal_locked(const std::string& name) {
   if (name.empty()) return;
   WorkerHealth& h = health_[name];
   ++h.retires_ok;
-  h.score = std::max(0.0, h.score - config_.heal_per_retire);
+  h.score = std::max(0.0, h.score - kHealPerRetire);
 }
 
 void Coordinator::note_protocol_error(const Session& session) {
   std::lock_guard lock(mu_);
   ++stats_.protocol_errors;
   cmetrics().protocol_errors.add(1);
-  strike_locked(worker_name_of(session.holder), config_.strike_protocol,
+  strike_locked(worker_name_of(session.holder), kStrikeProtocol,
                 &WorkerHealth::protocol_errors);
 }
 
@@ -175,7 +198,7 @@ std::string Coordinator::health_state_locked(const WorkerHealth& h,
                                              double now) const {
   if (h.ejected) return "ejected";
   if (now < h.quarantined_until) return "quarantined";
-  if (h.score >= config_.degraded_score) return "degraded";
+  if (h.score >= kDegradedScore) return "degraded";
   return "ok";
 }
 
@@ -275,7 +298,7 @@ void Coordinator::reaper_loop() {
     if (!expired_holders.empty()) {
       std::lock_guard lock(mu_);
       for (const std::string& holder : expired_holders) {
-        strike_locked(worker_name_of(holder), config_.strike_lease_expired,
+        strike_locked(worker_name_of(holder), kStrikeLeaseExpired,
                       &WorkerHealth::lease_expiries);
       }
     }
@@ -301,6 +324,16 @@ void Coordinator::note_found(service::JobId job_id, const std::string& job,
     found_log_.pop_front();
     ++found_base_;
   }
+}
+
+void Coordinator::store_worker_metrics(
+    const Session& session, std::optional<obs::RegistrySnapshot>& snapshot) {
+  if (!snapshot.has_value()) return;
+  const double now = transport_.now_s();
+  std::lock_guard lock(mu_);
+  WorkerMetricsEntry& entry = worker_metrics_[worker_name_of(session.holder)];
+  entry.snapshot = std::move(*snapshot);
+  entry.received_s = now;
 }
 
 void Coordinator::fill_updates(Session& session,
@@ -334,7 +367,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
     ++stats_.protocol_errors;
     cmetrics().protocol_errors.add(1);
     if (session.hello_done) {
-      strike_locked(worker_name_of(session.holder), config_.strike_protocol,
+      strike_locked(worker_name_of(session.holder), kStrikeProtocol,
                     &WorkerHealth::protocol_errors);
     }
     return encode(ErrorMsg{std::string("bad message: ") + e.what()});
@@ -378,7 +411,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
           }
           h.ejected = false;
           h.quarantined_until = 0;
-          h.score = config_.degraded_score;
+          h.score = kDegradedScore;
         }
         seq = next_session_++;
       }
@@ -395,7 +428,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
       const LeaseRequestMsg req = decode(lease_request_from_json);
       u128 want = req.max_ids;
       if (want == u128(0)) want = config_.max_lease;
-      want = std::min(std::max(want, config_.min_lease), config_.max_lease);
+      want = std::min(std::max(want, kMinLease), config_.max_lease);
       bool ejected = false;
       bool degraded = false;
       double quarantined_until = 0;
@@ -405,7 +438,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
         if (it != health_.end()) {
           ejected = it->second.ejected;
           quarantined_until = it->second.quarantined_until;
-          degraded = it->second.score >= config_.degraded_score;
+          degraded = it->second.score >= kDegradedScore;
         }
       }
       if (ejected) {
@@ -425,7 +458,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
       }
       // Degraded workers get the smallest leases: bounded blast radius
       // while they prove themselves back to health.
-      if (degraded) want = config_.min_lease;
+      if (degraded) want = kMinLease;
       const double deadline = transport_.now_s() + config_.lease_s;
       const auto grant = manager_.lease(session.holder, want, deadline);
       if (!grant.has_value()) {
@@ -492,7 +525,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
           ++stats_.forged_founds;
           cmetrics().forged.add(1);
           strike_locked(worker_name_of(session.holder),
-                        config_.strike_forged_found,
+                        kStrikeForgedFound,
                         &WorkerHealth::forged_founds);
           break;
         }
@@ -507,67 +540,31 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
 
     if (type == "retire") {
       RetireMsg retire = decode(retire_from_json);
-      // Apply batched recoveries one by one (not via retire_lease's
-      // found list) so each is digest-verified and forged entries are
-      // striked without suppressing the honest ones.
-      std::size_t forged = 0;
-      const auto it = session.live_leases.find(retire.lease_id);
-      for (const auto& [digest, key] : retire.found) {
-        switch (manager_.report_found(retire.lease_id, digest, key)) {
-          case service::FoundOutcome::kForged:
-            ++forged;
-            break;
-          case service::FoundOutcome::kApplied:
-          case service::FoundOutcome::kDuplicate:
-            if (it != session.live_leases.end()) {
-              note_found(it->second.job, it->second.job_name, digest, key);
-            }
-            break;
-          case service::FoundOutcome::kNoLease:
-            break;  // the retire below settles the lease's fate
-        }
-      }
       const bool live = manager_.retire_lease(retire.lease_id, retire.tested,
-                                              {}, retire.busy_s);
-      const double retired_at = transport_.now_s();
+                                              retire.busy_s);
+      const auto it = session.live_leases.find(retire.lease_id);
       if (live && it != session.live_leases.end()) {
         cmetrics().turnaround_s.observe(
-            std::max(0.0, retired_at - it->second.granted_s));
+            std::max(0.0, transport_.now_s() - it->second.granted_s));
       }
       session.live_leases.erase(retire.lease_id);
-      if (retire.metrics.has_value()) {
-        std::lock_guard lock(mu_);
-        WorkerMetricsEntry& entry =
-            worker_metrics_[worker_name_of(session.holder)];
-        entry.snapshot = std::move(*retire.metrics);
-        entry.received_s = retired_at;
-      }
+      store_worker_metrics(session, retire.metrics);
       {
         std::lock_guard lock(mu_);
         const std::string name = worker_name_of(session.holder);
-        stats_.forged_founds += forged;
-        if (forged > 0) cmetrics().forged.add(forged);
-        for (std::size_t i = 0; i < forged; ++i) {
-          strike_locked(name, config_.strike_forged_found,
-                        &WorkerHealth::forged_founds);
-        }
         if (live) {
           ++stats_.leases_retired;
-          if (forged == 0) heal_locked(name);
+          heal_locked(name);
         } else {
           // Retiring a lease the reaper already expired: mild strike —
           // honest workers hit this under latency, flaky ones live here.
-          strike_locked(name, config_.strike_late_retire,
+          strike_locked(name, kStrikeLateRetire,
                         &WorkerHealth::late_retires);
         }
       }
       AckMsg ack;
       ack.ok = live;
       if (!live) ack.error = "lease expired or unknown";
-      if (forged > 0) {
-        ack.ok = false;
-        ack.error = "found report failed verification";
-      }
       fill_updates(session, ack.cancelled, ack.dead);
       return encode(ack);
     }
@@ -576,13 +573,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
       HeartbeatMsg hb = decode(heartbeat_from_json);
       manager_.renew_leases(session.holder,
                             transport_.now_s() + config_.lease_s);
-      if (hb.metrics.has_value()) {
-        std::lock_guard lock(mu_);
-        WorkerMetricsEntry& entry =
-            worker_metrics_[worker_name_of(session.holder)];
-        entry.snapshot = std::move(*hb.metrics);
-        entry.received_s = transport_.now_s();
-      }
+      store_worker_metrics(session, hb.metrics);
       AckMsg ack;
       fill_updates(session, ack.cancelled, ack.dead);
       return encode(ack);
@@ -592,13 +583,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
       ByeMsg bye = decode(bye_from_json);
       manager_.revoke_leases(session.holder);
       session.live_leases.clear();
-      if (bye.metrics.has_value()) {
-        std::lock_guard lock(mu_);
-        WorkerMetricsEntry& entry =
-            worker_metrics_[worker_name_of(session.holder)];
-        entry.snapshot = std::move(*bye.metrics);
-        entry.received_s = transport_.now_s();
-      }
+      store_worker_metrics(session, bye.metrics);
       return encode(AckMsg{});
     }
 
@@ -660,7 +645,7 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
       std::lock_guard lock(mu_);
       ++stats_.protocol_errors;
       cmetrics().protocol_errors.add(1);
-      strike_locked(worker_name_of(session.holder), config_.strike_protocol,
+      strike_locked(worker_name_of(session.holder), kStrikeProtocol,
                     &WorkerHealth::protocol_errors);
     }
     return encode(ErrorMsg{"unknown message type: " + type});
@@ -684,7 +669,7 @@ void Coordinator::serve_session(std::shared_ptr<Session> session) {
         if (session->hello_done) {
           std::lock_guard lock(mu_);
           strike_locked(worker_name_of(session->holder),
-                        config_.strike_silence,
+                        kStrikeSilence,
                         &WorkerHealth::missed_heartbeats);
         }
         break;

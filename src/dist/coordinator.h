@@ -34,38 +34,21 @@ struct CoordinatorConfig {
   /// Reaper cadence: how often expired leases are swept back into the
   /// pending queues.
   double reap_interval_s = 0.25;
-  /// Clamp on granted lease sizes, in candidates. Workers request a
-  /// size from their measured rate; the clamp bounds both bookkeeping
-  /// overhead (floor) and the work lost when a holder dies (ceiling).
-  u128 min_lease{4096};
+  /// Ceiling on granted lease sizes, in candidates. Workers request a
+  /// size from their measured rate; the ceiling bounds the work lost
+  /// when a holder dies (the floor, kMinLease, bounds bookkeeping).
   u128 max_lease{u128(1) << 24};
   /// recv timeout for an established session; a worker silent this
   /// long (no requests, no heartbeats) is presumed dead and its
   /// session closes (leases then expire via the reaper).
   double session_timeout_s = 6.0;
 
-  // --- Worker health policy (docs/distributed.md, "Failure model") ---
-  // Scores are per worker *name* and accumulate strikes weighted by
-  // offence; clean retires heal. The lifecycle degrades gradually:
-  //   score >= degraded_score    leases clamp to min_lease
-  //   score >= quarantine_score  no leases for quarantine_s
-  //   score >= disconnect_score  ejected: hellos rejected until a
-  //                              probation period passes
-  double degraded_score = 3.0;
-  double quarantine_score = 6.0;
-  double disconnect_score = 10.0;
   /// How long a quarantined worker is refused leases; an ejected
-  /// worker may re-hello after 2x this on probation (it re-enters at
-  /// degraded_score, not zero).
+  /// worker may re-hello after 2x this on probation. The rest of the
+  /// health policy (scores, strike weights, healing) is fixed in
+  /// coordinator.cpp; docs/distributed.md, "Failure model", tabulates
+  /// it.
   double quarantine_s = 5.0;
-  /// Score healed by each clean retire.
-  double heal_per_retire = 0.5;
-  // Strike weights.
-  double strike_protocol = 1.0;      ///< unparsable / malformed request
-  double strike_forged_found = 2.0;  ///< found report failing digest check
-  double strike_lease_expired = 1.0; ///< lease lost to the reaper
-  double strike_late_retire = 0.5;   ///< retire of a dead/unknown lease
-  double strike_silence = 1.0;       ///< session_timeout_s of silence
 };
 
 /// The dispatch server: owns nothing but references — a JobManager
@@ -169,17 +152,20 @@ class Coordinator {
                     std::vector<FoundUpdate>& dead);
   void note_found(service::JobId job_id, const std::string& job,
                   const std::string& digest, const std::string& key);
+  /// Replaces the telemetry view of the session's worker name with a
+  /// snapshot piggybacked on a retire, heartbeat or bye.
+  void store_worker_metrics(const Session& session,
+                            std::optional<obs::RegistrySnapshot>& snapshot);
 
   /// The worker name a holder id belongs to ("alice#7" → "alice").
   static std::string worker_name_of(const std::string& holder);
-  /// Records a strike against `name` (weight per the config) and moves
+  /// Records a strike against `name` (weight per offence) and moves
   /// it through the quarantine/ejection lifecycle. `counter`, when
   /// non-null, is the per-reason tally inside that worker's ledger.
   /// Caller must hold mu_.
   void strike_locked(const std::string& name, double weight,
                      std::uint64_t WorkerHealth::*counter);
-  /// Heals `name` by heal_per_retire after a clean retire. Caller must
-  /// hold mu_.
+  /// Heals `name` after a clean retire. Caller must hold mu_.
   void heal_locked(const std::string& name);
   /// Counts a malformed request from an established session: bumps the
   /// protocol_errors stat and strikes the worker.

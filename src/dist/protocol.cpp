@@ -209,7 +209,6 @@ std::string encode(const RetireMsg& m) {
       .key("lease").value(m.lease_id)
       .key("tested").value(m.tested.to_string())
       .key("busy_s").value(m.busy_s);
-  write_pairs(w, "found", m.found);
   if (m.metrics.has_value()) {
     w.key("metrics");
     obs::snapshot_to_json(w, *m.metrics);
@@ -223,7 +222,9 @@ RetireMsg retire_from_json(const json::Value& v) {
   m.lease_id = u64_field(v, "lease");
   m.tested = u128::parse(v.at("tested").as_string());
   m.busy_s = v.number_or("busy_s", 0);
-  m.found = pairs_from(v, "found");
+  // busy_s feeds the job's rate estimate and its reported scan time; a
+  // negative one would skew the quantum sizing of every holder.
+  GKS_REQUIRE(m.busy_s >= 0, "retire busy_s must not be negative");
   if (const json::Value* snap = v.find("metrics")) {
     m.metrics = obs::snapshot_from_json(*snap);
   }

@@ -23,7 +23,8 @@ namespace gks::dist {
 ///   hello      open a worker session (version handshake)
 ///   lease_req  ask for an interval lease
 ///   found      report a recovery against a live lease, immediately
-///   retire     return a lease with its scanned prefix + recoveries
+///   retire     return a lease with its scanned prefix (recoveries
+///              went ahead as found reports)
 ///   heartbeat  renew every lease of this session
 ///   bye        orderly goodbye (revokes the session's leases)
 ///   submit     submit a job (control clients, gks-jobs --connect)
@@ -114,10 +115,8 @@ struct FoundMsg {
 struct RetireMsg {
   std::uint64_t lease_id = 0;
   u128 tested{0};  ///< contiguous prefix of the lease actually scanned
+  /// Seconds spent scanning the lease; never negative.
   double busy_s = 0;
-  /// Recoveries not yet reported via FoundMsg (normally empty — the
-  /// worker reports immediately — but kept for batching strategies).
-  std::vector<std::pair<std::string, std::string>> found;
   /// The worker's full telemetry snapshot at retire time (absent from
   /// pre-obs workers; the decoder tolerates a missing member). Retire
   /// carries it too — not just heartbeat — so a lease that finishes

@@ -14,9 +14,20 @@ namespace gks::dist {
 
 namespace {
 
+/// Ask for leases worth roughly this many seconds at the measured scan
+/// rate (the coordinator clamps the ask).
+constexpr double kLeaseTargetS = 1.0;
+/// Target wall time of one scan chunk — the worker's heartbeat
+/// opportunity cadence; must sit well under the coordinator's lease
+/// lifetime. Chunks clamp to [kMinChunk, kMaxChunk] candidates.
+constexpr double kChunkSliceS = 0.1;
+constexpr u128 kMinChunk{4096};
+constexpr u128 kMaxChunk{u128(1) << 22};
+constexpr double kConnectTimeoutS = 5.0;
+
 /// Worker-side telemetry. The rtt histogram times every roundtrip()
 /// (lease requests, found reports, heartbeats, retires alike) — the
-/// protocol cost the dispatch bench decomposes; lease_s is the whole
+/// protocol cost the benchmark's dist rungs decompose; lease_s is the whole
 /// grant→retire wall from the worker's side, chunk_s one scan slice.
 struct WorkerMetrics {
   obs::Counter& leases_completed =
@@ -90,10 +101,6 @@ WorkerDaemon::WorkerDaemon(Transport& transport, WorkerConfig config)
                ? config_.backoff_seed
                : 0x9e3779b97f4a7c15ULL ^ crc32(config_.name)) {
   GKS_REQUIRE(config_.threads > 0, "worker needs at least one scan thread");
-  GKS_REQUIRE(config_.chunk_slice_s > 0, "chunk slice must be positive");
-  GKS_REQUIRE(config_.min_chunk > u128(0), "min chunk must be positive");
-  GKS_REQUIRE(config_.min_chunk <= config_.max_chunk,
-              "min chunk above max chunk");
   GKS_REQUIRE(config_.reconnect_backoff_s > 0,
               "reconnect backoff must be positive");
   GKS_REQUIRE(config_.reconnect_backoff_s <= config_.reconnect_backoff_max_s,
@@ -117,15 +124,15 @@ u128 WorkerDaemon::chunk_size() const {
     scanned = stats_.keys_scanned;
   }
   const double rate = busy_s_ > 0 ? scanned.to_double() / busy_s_ : 0;
-  if (rate <= 0) return config_.min_chunk;
-  const double target = rate * config_.chunk_slice_s;
-  if (target <= config_.min_chunk.to_double()) return config_.min_chunk;
-  if (target >= config_.max_chunk.to_double()) return config_.max_chunk;
+  if (rate <= 0) return kMinChunk;
+  const double target = rate * kChunkSliceS;
+  if (target <= kMinChunk.to_double()) return kMinChunk;
+  if (target >= kMaxChunk.to_double()) return kMaxChunk;
   return u128(static_cast<std::uint64_t>(target));
 }
 
 u128 WorkerDaemon::lease_ask() const {
-  // Leases worth ~lease_target_s of work: small enough that a crashed
+  // Leases worth ~kLeaseTargetS of work: small enough that a crashed
   // worker forfeits little, large enough that the request round-trip
   // amortizes. Before the first rate estimate, ask for 0 and let the
   // coordinator pick.
@@ -136,7 +143,7 @@ u128 WorkerDaemon::lease_ask() const {
   }
   const double rate = busy_s_ > 0 ? scanned.to_double() / busy_s_ : 0;
   if (rate <= 0) return u128(0);
-  const double target = rate * config_.lease_target_s;
+  const double target = rate * kLeaseTargetS;
   if (target < 1) return u128(1);
   return u128(static_cast<std::uint64_t>(target));
 }
@@ -310,11 +317,21 @@ bool WorkerDaemon::run_lease(Connection& conn, const LeaseGrantWire& grant) {
         ++stats_.found_reported;
       }
       wmetrics().found_reported.add(1);
-      if (message_type(reply) == "ack" &&
-          !apply_ack(decode_reply([&] { return ack_from_json(reply); }),
-                     grant.lease_id)) {
-        lease_lost = true;
+      // The sweeper already counts this digest as found, so a report
+      // the coordinator did not apply (a garbled frame drew an error
+      // or failed verification, or the lease died under us) must not
+      // let an interval containing the key retire as covered. Dropping
+      // the session clears the sweeper cache and has the coordinator
+      // reclaim the lease, so the interval is rescanned with the
+      // target live.
+      if (message_type(reply) != "ack") {
+        throw ProtocolError("found report drew a non-ack reply");
       }
+      const AckMsg ack = decode_reply([&] { return ack_from_json(reply); });
+      if (!ack.ok) {
+        throw ProtocolError("found report not applied: " + ack.error);
+      }
+      if (!apply_ack(ack, grant.lease_id)) lease_lost = true;
     }
 
     done += tested;
@@ -485,7 +502,7 @@ bool WorkerDaemon::run(const std::string& coordinator_addr) {
     if (stop_.load(std::memory_order_acquire)) return true;
     std::unique_ptr<Connection> conn;
     try {
-      conn = transport_.connect(coordinator_addr, config_.connect_timeout_s);
+      conn = transport_.connect(coordinator_addr, kConnectTimeoutS);
     } catch (const TransportError&) {
       if (attempts_left-- <= 0) return false;
       back_off();

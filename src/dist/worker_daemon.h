@@ -21,18 +21,8 @@ struct WorkerConfig {
   std::string name = "worker";
   /// Scan threads: each leased chunk is split this many ways.
   std::size_t threads = 1;
-  /// Ask for leases worth roughly this many seconds at the measured
-  /// scan rate (clamped by the coordinator's min/max).
-  double lease_target_s = 1.0;
-  /// Target wall time of one scan chunk — the worker's heartbeat
-  /// opportunity cadence; must sit well under the coordinator's lease
-  /// lifetime.
-  double chunk_slice_s = 0.1;
-  u128 min_chunk{4096};
-  u128 max_chunk{u128(1) << 22};
   /// Heartbeat cadence; the coordinator's welcome overrides it.
   double heartbeat_interval_s = 0.5;
-  double connect_timeout_s = 5.0;
   /// recv timeout on an established session; a coordinator silent this
   /// long is presumed gone.
   double recv_timeout_s = 10.0;

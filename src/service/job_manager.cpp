@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "core/multi_crack.h"
@@ -12,6 +13,16 @@
 namespace gks::service {
 
 namespace {
+
+/// Target wall time of one local grant. Grants are sized from the
+/// job's measured scan rate so that a scan thread re-enters the
+/// scheduler roughly this often — trading fairness granularity against
+/// dispatch overhead (the affine cost model of dispatch::PerfModel:
+/// per-grant overhead c is amortized over this much useful work).
+constexpr double kQuantumSliceS = 0.05;
+/// Floor on a local grant, in candidates: keeps per-grant bookkeeping
+/// negligible, and sizes grants before the job has a rate.
+constexpr u128 kMinQuantum{4096};
 
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
@@ -44,10 +55,8 @@ ServiceMetrics& metrics() {
 }  // namespace
 
 JobManager::JobManager(JobServiceConfig config) : config_(std::move(config)) {
-  GKS_REQUIRE(config_.quantum_slice_s > 0, "quantum slice must be positive");
-  GKS_REQUIRE(config_.min_quantum > u128(0), "min quantum must be positive");
-  GKS_REQUIRE(config_.min_quantum <= config_.max_quantum,
-              "min quantum above max quantum");
+  GKS_REQUIRE(kMinQuantum <= config_.max_quantum,
+              "max quantum below the minimum quantum");
   if (!config_.journal_path.empty()) {
     store_.open(config_.journal_path, config_.journal_flush,
                 config_.journal_rotate_bytes);
@@ -58,7 +67,12 @@ JobManager::JobManager(JobServiceConfig config) : config_(std::move(config)) {
     if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      // No '#': remote holders are "<name>#<session>", so a local name
+      // can never collide with one.
+      workers_.emplace_back(
+          [this, holder = "local-" + std::to_string(i)] {
+            worker_loop(holder);
+          });
     }
   }
 }
@@ -104,14 +118,14 @@ bool JobManager::work_available() const {
 }
 
 u128 JobManager::quantum_for(const JobImpl& job) const {
-  // Per-worker rate: total ids retired over total worker-seconds spent
-  // scanning them. Sized so one quantum costs ~quantum_slice_s of wall
-  // time, bounding how long a worker runs between scheduler visits.
+  // Per-holder rate: total ids retired over total holder-seconds spent
+  // scanning them. Sized so one grant costs ~kQuantumSliceS of wall
+  // time, bounding how long a thread runs between scheduler visits.
   const double rate =
       job.busy_s > 0 ? job.scanned.to_double() / job.busy_s : 0;
-  if (rate <= 0) return config_.min_quantum;
-  const double target = rate * config_.quantum_slice_s;
-  if (target <= config_.min_quantum.to_double()) return config_.min_quantum;
+  if (rate <= 0) return kMinQuantum;
+  const double target = rate * kQuantumSliceS;
+  if (target <= kMinQuantum.to_double()) return kMinQuantum;
   if (target >= config_.max_quantum.to_double()) return config_.max_quantum;
   return u128(static_cast<std::uint64_t>(target));
 }
@@ -259,16 +273,11 @@ void JobManager::cancel(JobId id) {
   job.cancel_requested = true;
   job.interrupt.store(true, std::memory_order_release);
   scheduler_.set_runnable(id, false);
-  // Remote leases have no interrupt flag to observe — drop them now.
-  // A holder that retires one later gets `false` back, the standard
-  // stale-lease answer.
-  std::vector<std::uint64_t> doomed;
-  for (const auto& [lease_id, ls] : leases_) {
-    if (ls.job == id) doomed.push_back(lease_id);
-  }
-  for (const std::uint64_t lease_id : doomed) {
-    reclaim_lease_locked(lease_id, /*count_expired=*/false);
-  }
+  // Drop every lease now: remote holders have no interrupt flag to
+  // observe, and local scans stop at their next chunk. A holder that
+  // retires one later gets `false` back, the standard stale-lease
+  // answer.
+  reclaim_job_leases_locked(id);
   maybe_complete(job);
 }
 
@@ -315,14 +324,9 @@ core::TargetAddOutcome JobManager::add_targets(
     // the new digest. Reclaimed intervals re-dispatch under the new
     // generation; overlap with a late retire is absorbed by the
     // coverage ledger and found-dedup, exactly like lease expiry.
+    // (Local scans also yield at the sweeper's generation handoff.)
     ++job.target_gen;
-    std::vector<std::uint64_t> stale;
-    for (const auto& [lease_id, ls] : leases_) {
-      if (ls.job == job.id) stale.push_back(lease_id);
-    }
-    for (const std::uint64_t lease_id : stale) {
-      reclaim_lease_locked(lease_id, /*count_expired=*/false);
-    }
+    reclaim_job_leases_locked(job.id);
     // A job idled by all-found has pending keyspace again.
     scheduler_.set_runnable(job.id, runnable(job));
     lock.unlock();
@@ -362,22 +366,28 @@ std::optional<LeaseGrant> JobManager::lease(const std::string& holder,
   GKS_REQUIRE(!holder.empty(), "lease holder must not be empty");
   GKS_REQUIRE(max_ids > u128(0), "lease size must be positive");
   std::lock_guard lock(mu_);
+  return lease_locked(holder, max_ids, deadline);
+}
+
+std::optional<LeaseGrant> JobManager::lease_locked(const std::string& holder,
+                                                   const u128& max_ids,
+                                                   double deadline) {
   if (stopping_) return std::nullopt;
   for (;;) {
     const std::optional<JobId> picked = scheduler_.pick();
     if (!picked.has_value()) return std::nullopt;
     JobImpl& job = *jobs_.at(*picked);
-    if (job.pending.empty()) {  // defensive: keep the scheduler honest
+    if (!runnable(job)) {  // defensive: keep the scheduler honest
       scheduler_.set_runnable(job.id, false);
       continue;
     }
 
-    // Identical bookkeeping to a local quantum dispatch: the lease is
-    // an in-flight interval, charged to the job's fair share now so
-    // concurrent holders don't pile onto the same underserved job.
+    // Sized after the pick, so a local grant follows the picked job's
+    // own rate and the per-job preemption bound holds.
+    const u128 size = max_ids > u128(0) ? max_ids : quantum_for(job);
     const keyspace::Interval front = job.pending.front();
     job.pending.pop_front();
-    const u128 take = std::min(max_ids, front.size());
+    const u128 take = std::min(size, front.size());
     const keyspace::Interval quantum(front.begin, front.begin + take);
     if (take < front.size()) {
       job.pending.emplace_front(front.begin + take, front.end);
@@ -389,6 +399,8 @@ std::optional<LeaseGrant> JobManager::lease(const std::string& holder,
       job.first_dispatch = std::chrono::steady_clock::now();
     }
     if (job.state == JobState::kQueued) job.state = JobState::kRunning;
+    // Charged at grant time so concurrent holders don't all pile onto
+    // the same underserved job while its first grant is in flight.
     scheduler_.charge(job.id, quantum.size());
     scheduler_.set_runnable(job.id, runnable(job));
 
@@ -405,10 +417,13 @@ std::optional<LeaseGrant> JobManager::lease(const std::string& holder,
   }
 }
 
-bool JobManager::retire_lease(
-    std::uint64_t lease_id, const u128& tested,
-    const std::vector<std::pair<std::string, std::string>>& found,
-    double busy_s, std::size_t* forged) {
+bool JobManager::retire_lease(std::uint64_t lease_id, const u128& tested,
+                              double busy_s) {
+  return retire(lease_id, tested, busy_s, /*error=*/"");
+}
+
+bool JobManager::retire(std::uint64_t lease_id, const u128& tested,
+                        double busy_s, const std::string& error) {
   std::unique_lock lock(mu_);
   const auto it = leases_.find(lease_id);
   if (it == leases_.end()) return false;  // expired / revoked / bogus
@@ -420,22 +435,28 @@ bool JobManager::retire_lease(
   ++job.intervals_retired;
   job.busy_s += busy_s;
 
-  // Recoveries journal before the interval that contains them — same
-  // crash-ordering argument as the local worker path: losing the found
-  // record at worst rescans the interval; the opposite order could
-  // mark the key's interval covered while losing the key forever.
-  for (const auto& [digest_hex, key] : found) {
-    if (apply_found_locked(job, digest_hex, key) == FoundOutcome::kForged &&
-        forged != nullptr) {
-      ++*forged;
-    }
+  u128 n = std::min(tested, ls.interval.size());
+  if (!error.empty()) {
+    // The scan's coverage is unknown — treat it as untested and keep it
+    // out of the journal. The error interrupts the job's other holders
+    // and the job turns terminal once they retire.
+    n = u128(0);
+    job.error = error;
+    job.interrupt.store(true, std::memory_order_release);
   }
-  const u128 n = std::min(tested, ls.interval.size());
+  // The holder reported its recoveries through report_found() before
+  // this retire, so they reach the journal before the interval that
+  // contains them: a crash between the two appends at worst rescans
+  // the interval, where the opposite order could mark the key's
+  // interval covered while losing the key forever.
   const keyspace::Interval done(ls.interval.begin, ls.interval.begin + n);
   if (!done.empty()) {
     store_.record_interval(job.spec.name, done);
     job.scanned += job.coverage.add(done);
   }
+  // A short count is an interrupt or a generation handoff (the target
+  // set was mutated mid-scan): re-queue the remainder so it is
+  // rescanned against the current target set.
   if (n < ls.interval.size()) {
     job.pending.emplace_front(ls.interval.begin + n, ls.interval.end);
   }
@@ -535,6 +556,16 @@ JobSpec JobManager::wire_spec(
   }
   if (found_so_far != nullptr) *found_so_far = job.sweeper->found_so_far();
   return spec;
+}
+
+void JobManager::reclaim_job_leases_locked(JobId id) {
+  std::vector<std::uint64_t> doomed;
+  for (const auto& [lease_id, ls] : leases_) {
+    if (ls.job == id) doomed.push_back(lease_id);
+  }
+  for (const std::uint64_t lease_id : doomed) {
+    reclaim_lease_locked(lease_id, /*count_expired=*/false);
+  }
 }
 
 void JobManager::reclaim_lease_locked(std::uint64_t lease_id,
@@ -687,41 +718,20 @@ void JobManager::maybe_complete(JobImpl& job) {
   }
 }
 
-void JobManager::worker_loop() {
+void JobManager::worker_loop(const std::string& holder) {
+  // Local grants are never reaped: the job's interrupt flag, not a
+  // deadline, preempts them.
+  constexpr double kNoDeadline = std::numeric_limits<double>::max();
   std::unique_lock lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return stopping_ || work_available(); });
     if (stopping_) return;
-    const std::optional<JobId> picked = scheduler_.pick();
-    if (!picked.has_value()) continue;
-    JobImpl& job = *jobs_.at(*picked);
-    if (job.pending.empty()) {  // defensive: keep the scheduler honest
-      scheduler_.set_runnable(job.id, false);
-      continue;
-    }
-
-    // Slice one quantum off the front of the pending keyspace.
-    const keyspace::Interval front = job.pending.front();
-    job.pending.pop_front();
-    const u128 take = std::min(quantum_for(job), front.size());
-    const keyspace::Interval quantum(front.begin, front.begin + take);
-    if (take < front.size()) {
-      job.pending.emplace_front(front.begin + take, front.end);
-    }
-    ++job.in_flight;
-    ++job.intervals_issued;
-    if (!job.dispatched_once) {
-      job.dispatched_once = true;
-      job.first_dispatch = std::chrono::steady_clock::now();
-    }
-    if (job.state == JobState::kQueued) job.state = JobState::kRunning;
-    // Charge at dispatch so concurrent workers don't all pile onto the
-    // same min-vtime job while its first quantum is still in flight.
-    scheduler_.charge(job.id, quantum.size());
-    scheduler_.set_runnable(job.id, runnable(job));
-
-    core::MultiSweeper* const sweeper = job.sweeper.get();
-    const std::atomic<bool>* const interrupt = &job.interrupt;
+    const std::optional<LeaseGrant> grant =
+        lease_locked(holder, /*max_ids=*/u128(0), kNoDeadline);
+    if (!grant.has_value()) continue;
+    // JobImpls live as long as the manager (see JobImpl on what the
+    // scan may read unlocked).
+    const JobImpl& job = *jobs_.at(grant->job);
     lock.unlock();
 
     std::vector<core::SweepHit> hits;
@@ -729,7 +739,7 @@ void JobManager::worker_loop() {
     std::string error;
     const auto start = std::chrono::steady_clock::now();
     try {
-      tested = sweeper->scan(quantum, hits, interrupt);
+      tested = job.sweeper->scan(grant->interval, hits, &job.interrupt);
     } catch (const std::exception& e) {
       error = e.what();
     }
@@ -738,51 +748,15 @@ void JobManager::worker_loop() {
     metrics().quanta.add(1);
     metrics().quantum_s.observe(wall);
 
-    lock.lock();
-    --job.in_flight;
-    ++job.intervals_retired;
-    job.busy_s += wall;
-    if (!error.empty()) {
-      // The quantum's coverage is unknown — treat it as untested and
-      // keep it out of the journal. The error interrupts the job's
-      // other in-flight quanta and turns terminal once they retire.
-      job.pending.emplace_front(quantum);
-      job.error = error;
-      job.interrupt.store(true, std::memory_order_release);
-    } else {
-      // Journal recoveries before the interval that contains them: a
-      // crash between the two appends then at worst rescans the
-      // interval (the replayed recovery deduplicates the second hit);
-      // the opposite order could mark the key's interval covered while
-      // losing the key forever.
-      for (const core::SweepHit& hit : hits) {
-        const auto slots = sweeper->mark_found(hit.unique_index, hit.key);
-        // Empty means a duplicate from a stale snapshot or a target
-        // removed mid-flight — either way not ours to journal, which
-        // is what keeps found accounting exactly-once under mutation.
-        if (slots.empty()) continue;
-        job.targets_found += slots.size();
-        // slot_hex, not spec.request: add_targets extends the hex list
-        // behind the spec's back, and the sweeper's accessor is the
-        // thread-safe view of it.
-        store_.record_found(job.spec.name, sweeper->slot_hex(slots.front()),
-                            hit.key);
-      }
-      const keyspace::Interval done(quantum.begin, quantum.begin + tested);
-      if (!done.empty()) {
-        store_.record_interval(job.spec.name, done);
-        job.scanned += job.coverage.add(done);
-      }
-      // A short count is an interrupt or a generation handoff (the
-      // target set was mutated mid-quantum): re-queue the remainder so
-      // it is rescanned against the current target set.
-      if (tested < quantum.size()) {
-        job.pending.emplace_front(quantum.begin + tested, quantum.end);
-      }
+    const core::MultiCrackRequest& request = job.spec.request;
+    for (const core::SweepHit& hit : hits) {
+      report_found(grant->lease_id,
+                   core::salted_digest_hex(request.algorithm, request.salt,
+                                           hit.key),
+                   hit.key);
     }
-    scheduler_.set_runnable(job.id, runnable(job));
-    maybe_complete(job);
-    if (work_available()) work_cv_.notify_one();
+    retire(grant->lease_id, tested, wall, error);
+    lock.lock();
   }
 }
 

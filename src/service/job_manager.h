@@ -27,17 +27,9 @@ namespace gks::service {
 struct JobServiceConfig {
   /// Worker threads; 0 uses the hardware concurrency.
   std::size_t workers = 0;
-  /// Target wall time of one preemption quantum. Quanta are sized from
-  /// the measured per-worker scan rate so that a worker re-enters the
-  /// scheduler roughly this often — the knob trading fairness
-  /// granularity against dispatch overhead (the affine cost model of
-  /// dispatch::PerfModel: per-quantum overhead c is amortized over
-  /// quantum_slice_s of useful work).
-  double quantum_slice_s = 0.05;
-  /// Quantum clamp, in candidates. The floor keeps per-quantum
-  /// bookkeeping negligible; the ceiling bounds preemption latency
-  /// even on very fast scans.
-  u128 min_quantum{4096};
+  /// Ceiling on a local thread's grant, in candidates: bounds
+  /// preemption latency even on very fast scans. Grants are sized from
+  /// the job's measured scan rate (see JobManager's execution model).
   u128 max_quantum{u128(1) << 22};
   /// Checkpoint journal path; empty runs the service in-memory only.
   std::string journal_path;
@@ -57,11 +49,11 @@ struct JobServiceConfig {
 };
 
 /// One granted lease: a bounded interval of a job's keyspace checked
-/// out to a remote holder until a deadline. The dual of the local
-/// worker quantum — same exactly-once machinery (retired coverage is
-/// journaled, unretired remainders re-dispatch), but preemption is by
-/// deadline instead of interrupt flag, because a remote holder may
-/// simply vanish.
+/// out to a holder until a deadline. Remote holders are preempted by
+/// deadline because they may simply vanish; the manager's own scan
+/// threads hold leases that never expire and are preempted by the
+/// job's interrupt flag instead. Either way retired coverage is
+/// journaled and unretired remainders re-dispatch.
 struct LeaseGrant {
   std::uint64_t lease_id = 0;
   JobId job = 0;
@@ -87,21 +79,27 @@ enum class FoundOutcome {
   kNoLease,    ///< the lease is no longer live
 };
 
-/// The multi-tenant job service: owns the worker pool, the fair-share
-/// scheduler and the checkpoint journal. Tenants submit JobSpecs and
-/// get JobIds; every job — single digest or whole credential store —
-/// runs through the same core::MultiSweeper batch path.
+/// The multi-tenant job service: owns the local scan threads, the
+/// fair-share scheduler and the checkpoint journal. Tenants submit
+/// JobSpecs and get JobIds; every job — single digest or whole
+/// credential store — runs through the same core::MultiSweeper batch
+/// path.
 ///
-/// Execution model: each worker repeatedly asks the scheduler for the
-/// most underserved runnable job, slices one bounded quantum off that
-/// job's pending keyspace, and scans it with the job's interrupt flag
-/// as the cooperative preemption hook. Retired quanta are journaled
-/// before they are merged into the job's coverage, so a killed process
-/// never loses acknowledged work and resume_from() re-dispatches only
-/// the unscanned gaps.
+/// Execution model: there is one dispatch path, the lease. A local
+/// scan thread is an in-process lease holder: it takes a grant through
+/// the same code as lease() (sized from the job's measured rate, since
+/// it has no rate of its own to ask with), scans it with the job's
+/// interrupt flag as the cooperative preemption hook, reports each hit
+/// through the digest-verified report_found(), and hands the tested
+/// prefix back through retire_lease(). Remote workers (src/dist/) do
+/// the same over the wire. Recoveries are journaled before the
+/// interval that contains them, and retired intervals before they are
+/// merged into the job's coverage, so a killed process never loses
+/// acknowledged work and resume_from() re-dispatches only the
+/// unscanned gaps.
 ///
 /// All public methods are thread-safe. Destroying the manager stops
-/// the workers (interrupting in-flight scans at the next chunk
+/// the scan threads (interrupting in-flight scans at the next chunk
 /// boundary); non-terminal jobs keep their journaled coverage and can
 /// be resumed by a later manager.
 class JobManager {
@@ -179,24 +177,22 @@ class JobManager {
   /// simnet clocks both work unchanged.
 
   /// Checks out up to `max_ids` of the most underserved runnable job's
-  /// pending keyspace to `holder`, valid until `deadline`. Fair-share
-  /// charging is identical to a local quantum. nullopt when nothing is
+  /// pending keyspace to `holder`, valid until `deadline`. The job's
+  /// fair share is charged at grant time, so concurrent holders don't
+  /// pile onto the same underserved job. nullopt when nothing is
   /// runnable.
   std::optional<LeaseGrant> lease(const std::string& holder,
                                   const u128& max_ids, double deadline);
 
-  /// Retires a lease: journals the recoveries then the covered prefix
-  /// [begin, begin+tested), returns the untested remainder to the
-  /// pending queue. Returns false for unknown or already-expired lease
-  /// ids — the interval was re-dispatched, and the coverage ledger
-  /// plus mark_found dedup make the late worker's overlap harmless.
-  /// Every piggybacked recovery is digest-verified like report_found;
-  /// `forged` (when given) counts the ones that failed verification,
-  /// so the caller can strike the holder.
+  /// Retires a lease: journals the covered prefix [begin, begin+tested)
+  /// and returns the untested remainder to the pending queue; `busy_s`
+  /// is the holder's scan time, which feeds the job's rate estimate.
+  /// Recoveries arrive separately, through report_found(), before the
+  /// retire. Returns false for unknown or already-reclaimed lease ids —
+  /// the interval was re-dispatched, and the coverage ledger plus
+  /// found dedup make the late holder's overlap harmless.
   bool retire_lease(std::uint64_t lease_id, const u128& tested,
-                    const std::vector<std::pair<std::string, std::string>>&
-                        found = {},
-                    double busy_s = 0, std::size_t* forged = nullptr);
+                    double busy_s = 0);
 
   /// Records a recovery against a live lease without retiring it (a
   /// worker reports FOUND the moment it hits, so a later crash cannot
@@ -232,7 +228,7 @@ class JobManager {
   /// leases cancelled under them.
   bool lease_live(std::uint64_t lease_id) const;
 
-  /// Live lease count across all jobs.
+  /// Live lease count across all jobs, local scan threads' included.
   std::size_t lease_count() const;
 
   /// The job's spec with the *current* target set (add_targets extends
@@ -264,21 +260,22 @@ class JobManager {
 
  private:
   /// Everything the manager knows about one job. Guarded by mu_ except
-  /// `interrupt`, which scans read lock-free.
+  /// `interrupt`, which scans read lock-free, and `spec` and the
+  /// `sweeper` pointer, which never change after submit.
   struct JobImpl {
     JobId id = 0;
     JobSpec spec;
     JobState state = JobState::kQueued;
     std::unique_ptr<core::MultiSweeper> sweeper;
 
-    /// Unscanned sub-intervals, ascending; workers slice quanta off
-    /// the front.
+    /// Unscanned sub-intervals, ascending; grants are sliced off the
+    /// front.
     std::deque<keyspace::Interval> pending;
     IntervalSet coverage;
 
     std::atomic<bool> interrupt{false};
     bool cancel_requested = false;
-    std::size_t in_flight = 0;  ///< quanta currently being scanned
+    std::size_t in_flight = 0;  ///< live leases on this job
 
     std::uint64_t intervals_issued = 0;
     std::uint64_t intervals_retired = 0;
@@ -291,7 +288,7 @@ class JobManager {
     /// duplicating an already-recovered digest. Exactly-once: every
     /// slot is counted through sweeper accounting that deduplicates.
     std::size_t targets_found = 0;
-    double busy_s = 0;  ///< summed worker wall time inside scan()
+    double busy_s = 0;  ///< summed holder scan time, from retires
 
     bool dispatched_once = false;
     std::chrono::steady_clock::time_point first_dispatch;
@@ -307,10 +304,23 @@ class JobManager {
     double deadline = 0;
   };
 
-  void worker_loop();
+  /// A local scan thread: an in-process lease holder named `holder`.
+  void worker_loop(const std::string& holder);
+  /// lease() under mu_. `max_ids` of zero sizes the grant from the
+  /// picked job's measured rate (quantum_for) — the local threads' ask.
+  std::optional<LeaseGrant> lease_locked(const std::string& holder,
+                                         const u128& max_ids,
+                                         double deadline);
+  /// retire_lease(); a non-empty `error` (a scan that threw) fails the
+  /// job and returns the whole interval untested.
+  bool retire(std::uint64_t lease_id, const u128& tested, double busy_s,
+              const std::string& error);
   /// Returns a lease's interval to its job's pending queue and drops
-  /// the lease (mu_ held). Shared by expiry, revocation and cancel.
+  /// the lease (mu_ held). Shared by expiry, revocation and reclaim.
   void reclaim_lease_locked(std::uint64_t lease_id, bool count_expired);
+  /// Reclaims every live lease of the job, local or remote (mu_ held):
+  /// cancel() and effective add_targets().
+  void reclaim_job_leases_locked(JobId id);
   /// Verifies then applies one recovery to a job: recompute the
   /// digest, mark, count, journal (mu_ held). Forged reports touch
   /// nothing.
@@ -319,7 +329,7 @@ class JobManager {
                                   const std::string& key);
   /// True when some runnable job has pending work (mu_ held).
   bool work_available() const;
-  /// Quantum size for the job's next dispatch (mu_ held).
+  /// Grant size for a local thread on the job (mu_ held).
   u128 quantum_for(const JobImpl& job) const;
   /// Whether the scheduler should consider the job runnable (mu_ held).
   bool runnable(const JobImpl& job) const;
@@ -340,7 +350,7 @@ class JobManager {
   JobStore store_;
 
   mutable std::mutex mu_;
-  mutable std::condition_variable work_cv_;  ///< workers: work or stop
+  mutable std::condition_variable work_cv_;  ///< scan threads: work or stop
   mutable std::condition_variable done_cv_;  ///< waiters: job went terminal
   bool stopping_ = false;
   JobId next_id_ = 1;

@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace gks {
+
+namespace {
+
+/// Waits for every future, then rethrows the first failure. The tasks
+/// reference the caller's stack, so returning at the first throwing
+/// get() would leave the rest running on a dead frame.
+void join_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -48,7 +68,7 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();
+  join_all(futures);
 }
 
 void ThreadPool::parallel_chunks(
@@ -60,7 +80,8 @@ void ThreadPool::parallel_chunks(
   const std::size_t workers = static_cast<std::size_t>(
       std::min<std::uint64_t>(size(), n_chunks));
 
-  // Stack state is safe: every future is joined before returning.
+  // Stack state is safe: every future is joined before returning,
+  // exceptions included (join_all).
   std::atomic<std::uint64_t> cursor{0};
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
@@ -74,7 +95,7 @@ void ThreadPool::parallel_chunks(
       }
     }));
   }
-  for (auto& f : futures) f.get();
+  join_all(futures);
 }
 
 }  // namespace gks

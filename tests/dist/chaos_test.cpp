@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -415,6 +416,72 @@ TEST(ChaosLink, LossyLinkHealsAndTheSweepCompletes) {
   ASSERT_EQ(s.found.size(), 1u);
   EXPECT_EQ(s.found[0].second, key);
   EXPECT_GE(worker.stats().reconnects, 1u);  // the loss actually bit
+}
+
+// ---------------------------------------------------------------------------
+// A found report the coordinator did not apply must never let its lease
+// retire as covered: the worker's sweeper already counts the digest as
+// found, so a retire would journal the key's interval as scanned with
+// the key lost. A fake coordinator answers the report with the error a
+// garbled frame draws.
+
+TEST(ChaosHealth, UnappliedFoundReportNeverRetiresTheLease) {
+  TcpTransport transport;
+  auto listener = transport.listen("127.0.0.1:0");
+  const service::JobSpec spec = planted_job("alpha", "dog", 1, 3);
+
+  WorkerConfig wcfg;
+  wcfg.name = "w1";
+  wcfg.recv_timeout_s = 0.5;
+  wcfg.reconnect_attempts = 10000;
+  wcfg.reconnect_backoff_s = 0.01;
+  wcfg.reconnect_backoff_max_s = 0.05;
+  WorkerDaemon worker(transport, wcfg);
+  std::thread t([&] { worker.run(listener->address()); });
+
+  // Returns what the worker sent after the error, nullopt when it
+  // dropped the session instead. Never returns early past the join.
+  const auto serve = [&]() -> std::optional<std::string> {
+    auto conn = listener->accept(10.0);
+    if (conn == nullptr) return "no connection";
+    const auto expect = [&](const char* type) {
+      const auto body = conn->recv(10.0);
+      return body.has_value() && message_type(json::parse(*body)) == type;
+    };
+    if (!expect("hello")) return "no hello";
+    WelcomeMsg welcome;
+    welcome.lease_s = 30.0;
+    welcome.heartbeat_s = 10.0;
+    welcome.holder = "w1#1";
+    conn->send(encode(welcome));
+
+    if (!expect("lease_req")) return "no lease request";
+    LeaseGrantWire grant;
+    grant.lease_id = 1;
+    grant.job = 1;
+    grant.job_name = spec.name;
+    grant.end = keyspace::space_size(spec.request.charset.size(), 1, 3);
+    grant.has_spec = true;
+    grant.spec = spec;
+    conn->send(encode(grant));
+
+    if (!expect("found")) return "no found report";
+    conn->send(encode(ErrorMsg{"bad message: truncated"}));
+    try {
+      return conn->recv(2.0);
+    } catch (const TransportError&) {
+      return std::nullopt;  // the worker dropped the session
+    }
+  };
+  const std::optional<std::string> after_error = serve();
+  worker.stop();
+  t.join();
+  listener->close();
+
+  // A retire here would journal the key's interval as covered.
+  EXPECT_FALSE(after_error.has_value()) << after_error->substr(0, 40);
+  EXPECT_GE(worker.stats().reconnects, 1u);
+  EXPECT_EQ(worker.stats().leases_completed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -93,8 +93,10 @@ TEST(DistService, TcpWorkersCrackPlantedKey) {
   for (int i = 0; i < 2; ++i) {
     wcfg.name = "w" + std::to_string(i);
     workers.push_back(std::make_unique<WorkerDaemon>(transport, wcfg));
-    threads.emplace_back(
-        [&, i] { workers[i]->run(coordinator.address()); });
+    // Capture the daemon, not the vector: the next push_back may
+    // reallocate the vector while this thread reads it.
+    WorkerDaemon* const worker = workers.back().get();
+    threads.emplace_back([&, worker] { worker->run(coordinator.address()); });
   }
 
   ASSERT_TRUE(manager.wait(id, 60.0));

@@ -58,18 +58,19 @@ TEST(Lease, LeaseRetireLoopRunsJobToDone) {
   const std::string digest = hash::Md5::digest("abc").to_hex();
 
   // A perfect worker: retire each lease fully; report the planted key
-  // when its interval covers it (we cheat and report it on the first
-  // retire — the manager only checks the digest, not the position).
+  // when its interval covers it (we cheat and report it during the
+  // first lease — the manager only checks the digest, not the
+  // position).
   bool reported = false;
   std::size_t rounds = 0;
   while (auto grant = m.lease("w#1", u128(1) << 16, 10.0)) {
-    std::vector<std::pair<std::string, std::string>> found;
     if (!reported) {
-      found = {{digest, "abc"}};
+      EXPECT_EQ(m.report_found(grant->lease_id, digest, "abc"),
+                FoundOutcome::kApplied);
       reported = true;
     }
-    EXPECT_TRUE(m.retire_lease(grant->lease_id, grant->interval.size(),
-                               found, 0.01));
+    EXPECT_TRUE(
+        m.retire_lease(grant->lease_id, grant->interval.size(), 0.01));
     ASSERT_LT(++rounds, 10000u);
   }
   ASSERT_TRUE(m.wait(id, 5.0));
@@ -109,8 +110,7 @@ TEST(Lease, LateRetireIsRejectedHarmlessly) {
   ASSERT_EQ(m.expire_leases(2.0), 1u);
 
   const u128 before = m.status(id).scanned;
-  EXPECT_FALSE(
-      m.retire_lease(grant->lease_id, grant->interval.size(), {}, 0.01));
+  EXPECT_FALSE(m.retire_lease(grant->lease_id, grant->interval.size(), 0.01));
   EXPECT_EQ(m.status(id).scanned, before);  // no coverage from the dead
   EXPECT_FALSE(m.retire_lease(9999, u128(1)));  // unknown id, same answer
 }
@@ -190,14 +190,7 @@ TEST(Lease, ForgedFoundNeverReachesTheJournalOrTheCount) {
             FoundOutcome::kForged);
   EXPECT_EQ(m.status(id).targets_found, 0u);
   EXPECT_TRUE(m.status(id).found.empty());
-
-  // Forged recoveries piggybacked on a retire are counted out-of-band
-  // and contribute no coverage of the target set either.
-  std::size_t forged = 0;
-  ASSERT_TRUE(m.retire_lease(grant->lease_id, grant->interval.size(),
-                             {{digest, "nope"}}, 0.01, &forged));
-  EXPECT_EQ(forged, 1u);
-  EXPECT_EQ(m.status(id).targets_found, 0u);
+  ASSERT_TRUE(m.retire_lease(grant->lease_id, grant->interval.size(), 0.01));
 
   // The honest report still lands.
   const auto g2 = m.lease("w#1", u128(100), 10.0);

@@ -107,19 +107,15 @@ TEST(Protocol, LeaseGrantWithoutSpecOmitsIt) {
   EXPECT_TRUE(back.dead.empty());
 }
 
-TEST(Protocol, RetireRoundTripsFoundPairs) {
+TEST(Protocol, RetireRoundTripsTestedAndBusy) {
   RetireMsg m;
   m.lease_id = 5;
   m.tested = u128(123456789);
   m.busy_s = 0.25;
-  m.found = {{"aa", "keyA"}, {"bb", "keyB"}};
   const RetireMsg back = retire_from_json(json::parse(encode(m)));
   EXPECT_EQ(back.lease_id, 5u);
   EXPECT_EQ(back.tested, u128(123456789));
   EXPECT_EQ(back.busy_s, 0.25);
-  ASSERT_EQ(back.found.size(), 2u);
-  EXPECT_EQ(back.found[1].first, "bb");
-  EXPECT_EQ(back.found[1].second, "keyB");
 }
 
 TEST(Protocol, AckRoundTripsCancelledAndDead) {
@@ -204,6 +200,14 @@ TEST(Protocol, DecoderRejectsMalformedMessages) {
   EXPECT_THROW(found_from_json(json::parse("{\"type\":\"found\"}")), Error);
   EXPECT_THROW(lease_grant_from_json(json::parse("{\"type\":\"lease\"}")),
                Error);
+  // busy_s feeds the job's rate estimate: a negative one from an
+  // untrusted worker is malformed, not a value to add.
+  EXPECT_THROW(retire_from_json(json::parse(
+                   "{\"type\":\"retire\",\"lease\":1,\"tested\":\"5\","
+                   "\"busy_s\":-3}")),
+               Error);
+  EXPECT_NO_THROW(retire_from_json(json::parse(
+      "{\"type\":\"retire\",\"lease\":1,\"tested\":\"5\",\"busy_s\":0}")));
 }
 
 }  // namespace

@@ -372,5 +372,70 @@ TEST(JobService, EightJobMixedBatchDemo) {
   fs::remove(journal);
 }
 
+TEST(JobService, LocalThreadsAndARemoteHolderShareOneJob) {
+  namespace fs = std::filesystem;
+  const std::string journal =
+      (fs::temp_directory_path() / "gks_service_mixed.jsonl").string();
+  fs::remove(journal);
+
+  // Local scan threads and a lease() caller work the same job through
+  // the one dispatch path. A second, unfindable target keeps the job
+  // open until the whole space is swept.
+  JobSpec spec = md5_job("mixed", "mzzz", 4);
+  spec.request.target_hexes.push_back(hash::Md5::digest("0000").to_hex());
+  const u128 space = core::MultiSweeper(spec.request).space_size();
+
+  JobServiceConfig config;
+  config.workers = 2;
+  config.max_quantum = u128(16384);
+  config.journal_path = journal;
+  std::uint64_t remote_leases = 0;
+  {
+    JobManager manager(config);
+    const JobId id = manager.submit(spec);
+
+    // This thread is the remote holder: its own sweeper, every hit
+    // reported before the retire, like WorkerDaemon.
+    const core::MultiSweeper sweeper(spec.request);
+    while (!manager.wait(id, 0)) {
+      const auto grant = manager.lease("remote#1", u128(8192), 1e9);
+      if (!grant.has_value()) {
+        std::this_thread::sleep_for(1ms);
+        continue;
+      }
+      std::vector<core::SweepHit> hits;
+      const u128 tested = sweeper.scan(grant->interval, hits);
+      for (const core::SweepHit& hit : hits) {
+        EXPECT_NE(manager.report_found(grant->lease_id,
+                                       hash::Md5::digest(hit.key).to_hex(),
+                                       hit.key),
+                  FoundOutcome::kForged);
+      }
+      EXPECT_TRUE(manager.retire_lease(grant->lease_id, tested, 0.001));
+      ++remote_leases;
+    }
+
+    const JobSnapshot s = manager.status(id);
+    EXPECT_EQ(s.state, JobState::kDone);
+    EXPECT_EQ(s.scanned, space);
+    EXPECT_EQ(s.targets_found, 1u);
+    ASSERT_EQ(s.found.size(), 1u);
+    EXPECT_EQ(s.found[0].second, "mzzz");
+    EXPECT_EQ(s.intervals_issued, s.intervals_retired);
+    // Both kinds of holder took part.
+    EXPECT_GT(remote_leases, 0u);
+    EXPECT_GT(s.intervals_issued, remote_leases);
+    EXPECT_EQ(manager.lease_count(), 0u);
+  }
+
+  const auto recovered = JobStore::load(journal);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].journaled, space);
+  EXPECT_EQ(recovered[0].scanned.covered(), space);
+  ASSERT_EQ(recovered[0].found.size(), 1u);  // journaled exactly once
+  EXPECT_EQ(recovered[0].found[0].second, "mzzz");
+  fs::remove(journal);
+}
+
 }  // namespace
 }  // namespace gks::service
