@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "hash/kernel_words.h"
@@ -16,6 +18,13 @@ struct Rfc1321Vector {
   const char* message;
   const char* digest;
 };
+
+// gtest prints the parameter into each case's name; the default printer
+// would dump the pointer bytes, which change from run to run.
+void PrintTo(const Rfc1321Vector& v, std::ostream* os) {
+  const std::string_view m(v.message);
+  *os << '"' << m.substr(0, 20) << (m.size() > 20 ? "...\"" : "\"");
+}
 
 class Md5Rfc1321 : public ::testing::TestWithParam<Rfc1321Vector> {};
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "hash/kernel_words.h"
 #include "hash/sha1_kernel.h"
@@ -14,6 +16,13 @@ struct Sha1Vector {
   const char* message;
   const char* digest;
 };
+
+// gtest prints the parameter into each case's name; the default printer
+// would dump the pointer bytes, which change from run to run.
+void PrintTo(const Sha1Vector& v, std::ostream* os) {
+  const std::string_view m(v.message);
+  *os << '"' << m.substr(0, 20) << (m.size() > 20 ? "...\"" : "\"");
+}
 
 class Sha1KnownVectors : public ::testing::TestWithParam<Sha1Vector> {};
 

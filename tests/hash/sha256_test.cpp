@@ -4,7 +4,9 @@
 
 #include "support/error.h"
 
+#include <ostream>
 #include <string>
+#include <string_view>
 
 namespace gks::hash {
 namespace {
@@ -13,6 +15,13 @@ struct Sha256Vector {
   const char* message;
   const char* digest;
 };
+
+// gtest prints the parameter into each case's name; the default printer
+// would dump the pointer bytes, which change from run to run.
+void PrintTo(const Sha256Vector& v, std::ostream* os) {
+  const std::string_view m(v.message);
+  *os << '"' << m.substr(0, 20) << (m.size() > 20 ? "...\"" : "\"");
+}
 
 class Sha256KnownVectors : public ::testing::TestWithParam<Sha256Vector> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "support/error.h"
 
 namespace gks::simgpu {
@@ -14,6 +16,10 @@ struct TheoreticalCase {
   double expected_mkeys;
   double tolerance;
 };
+
+// gtest prints the parameter into each case's name; the default printer
+// would dump the name pointer's bytes, which change from run to run.
+void PrintTo(const TheoreticalCase& c, std::ostream* os) { *os << c.device; }
 
 class PaperTheoretical : public ::testing::TestWithParam<TheoreticalCase> {};
 
