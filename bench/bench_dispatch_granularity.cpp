@@ -3,6 +3,8 @@
 // waiting on scatter/gather and per-round fixed costs; the paper's
 // remedy is that "N_node could be arbitrarily increased to minimize
 // the overhead caused by the dispatch and merge steps".
+// With model-timed devices only modeled costs count (no host time),
+// so the sweep measures the link model alone.
 
 #include <cstdio>
 
@@ -47,9 +49,13 @@ int main() {
   std::printf("== Dispatch granularity sweep (paper network, MD5) ==\n\n%s\n",
               table.str().c_str());
   std::printf(
-      "Efficiency climbs toward 1.0 as rounds deepen: per-round costs\n"
-      "(K_scatter + K_gather + synchronization on the slowest member)\n"
-      "amortize over more K_search work, exactly as the Section III\n"
-      "bound K_D >= max_j(K_scatter + K_search + K_gather) predicts.\n");
+      "Per-round costs (K_scatter + K_gather + synchronization on the\n"
+      "slowest member) amortize over K_search, as the Section III bound\n"
+      "K_D >= max_j(K_scatter + K_search + K_gather) predicts. The\n"
+      "simulated GPUs put the run on the event-driven clock, where the\n"
+      "only per-round costs are the modeled links (200 us each way), so\n"
+      "already at 0.5 s rounds they are well under 1%% and the efficiency\n"
+      "is flat. It can pass 1: the tuned X_j come from probe batches\n"
+      "that each pay a kernel launch.\n");
   return 0;
 }

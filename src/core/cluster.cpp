@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "core/cpu_backend.h"
 #include "core/scan_engine.h"
@@ -54,6 +53,17 @@ simnet::NodeId build_tree(simnet::Network& net, const ClusterNode& spec,
   return id;
 }
 
+/// True when every device in the tree is a simulated GPU, whose
+/// SimGpuSearcher reports model time (is_simulated()): the run then
+/// needs no real duration and can use event-driven virtual time.
+bool model_timed(const ClusterNode& spec) {
+  for (const ClusterDevice& dev : spec.devices) {
+    if (dev.kind != ClusterDevice::Kind::kSimGpu) return false;
+  }
+  return std::all_of(spec.children.begin(), spec.children.end(),
+                     model_timed);
+}
+
 }  // namespace
 
 ClusterCracker::ClusterCracker(ClusterNode topology, ClusterOptions options)
@@ -73,8 +83,16 @@ dispatch::SearchReport ClusterCracker::crack(const CrackRequest& request) {
                 "model-mode simulated GPUs need a planted key to find");
   }
 
-  simnet::Network net(options_.time_scale);
+  // Declared before the network, so that on an early exit the network
+  // joins the node threads before the agents they run are destroyed.
   std::vector<BuiltNode> nodes;
+  simnet::Network net(options_.time_scale, simnet::Network::kDefaultSeed,
+                      model_timed(topology_)
+                          ? simnet::TimeMode::kEventDriven
+                          : simnet::TimeMode::kWallClock);
+  // This thread runs the root agent: it takes part in the clock for
+  // the whole run, so time waits for it between its own waits.
+  const simnet::VirtualClock::Participant self(net.clock());
   const simnet::NodeId root =
       build_tree(net, topology_, request, options_, planted, nodes);
   GKS_ENSURE(root == 0, "root must be the first node");
@@ -91,7 +109,7 @@ dispatch::SearchReport ClusterCracker::crack(const CrackRequest& request) {
   }
 
   // Failure injection runs on its own thread against virtual time.
-  std::thread failure_thread;
+  simnet::ClockThread failure_thread;
   if (!options_.failures.empty()) {
     std::map<std::string, simnet::NodeId> by_name;
     for (const BuiltNode& built : nodes) {
@@ -102,7 +120,7 @@ dispatch::SearchReport ClusterCracker::crack(const CrackRequest& request) {
               [](const FailureEvent& a, const FailureEvent& b) {
                 return a.at_virtual_s < b.at_virtual_s;
               });
-    failure_thread = std::thread([&net, by_name, events] {
+    failure_thread = simnet::ClockThread(net.clock(), [&net, by_name, events] {
       double elapsed = 0;
       for (const FailureEvent& ev : events) {
         net.clock().sleep_virtual(ev.at_virtual_s - elapsed);
@@ -119,7 +137,7 @@ dispatch::SearchReport ClusterCracker::crack(const CrackRequest& request) {
   dispatch::SearchReport report = root_agent->run_root(space, scratch);
 
   net.join_all();
-  if (failure_thread.joinable()) failure_thread.join();
+  failure_thread.join();
   return report;
 }
 

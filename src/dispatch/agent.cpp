@@ -1,27 +1,13 @@
 #include "dispatch/agent.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <set>
-#include <thread>
 
 #include "support/error.h"
 
 namespace gks::dispatch {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double remaining_virtual(const simnet::VirtualClock& clock,
-                         Clock::time_point deadline) {
-  const auto now = Clock::now();
-  if (now >= deadline) return 0.0;
-  return clock.to_virtual(deadline - now);
-}
-
-}  // namespace
 
 NodeAgent::NodeAgent(simnet::Network& net, simnet::NodeId self,
                      std::vector<std::unique_ptr<IntervalSearcher>> devices,
@@ -60,12 +46,11 @@ Capability NodeAgent::tune_all(const keyspace::Interval& scratch) {
   // missing it is dead for the whole search.
   std::set<simnet::NodeId> pending(children.begin(), children.end());
   std::map<simnet::NodeId, Capability> reported;
-  const double floor_virtual =
-      config_.min_timeout_real_s / net_.clock().scale();
-  const auto deadline =
-      net_.clock().deadline(std::max(60.0, 4.0 * floor_virtual));
+  const simnet::VirtualClock& clock = net_.clock();
+  const double floor_virtual = config_.min_timeout_real_s / clock.scale();
+  const double deadline = clock.now() + std::max(60.0, 4.0 * floor_virtual);
   while (!pending.empty()) {
-    const double budget = remaining_virtual(net_.clock(), deadline);
+    const double budget = deadline - clock.now();
     if (budget <= 0) break;
     auto msg = net_.recv(self_, budget);
     if (!msg) break;
@@ -210,8 +195,9 @@ WorkResult NodeAgent::process_interval(const keyspace::Interval& interval,
     if (assigns.empty()) break;
     ++round_seq;
     const std::uint64_t tag = (base_round << 20) | round_seq;
-    const auto t_round_start = Clock::now();
-    std::vector<Clock::time_point> completions;
+    const simnet::VirtualClock& clock = net_.clock();
+    const double t_round_start = clock.now();
+    std::vector<double> completions;
 
     // Children first (their subtrees start while we compute locally).
     for (const Assignment& a : assigns) {
@@ -219,40 +205,40 @@ WorkResult NodeAgent::process_interval(const keyspace::Interval& interval,
       if (m.child) net_.send(self_, *m.child, WorkAssign{a.chunk, tag});
     }
 
-    // Local devices scan concurrently on their own threads; simulated
-    // devices realize their modeled duration on the virtual clock so
-    // the parent genuinely waits for the slower device.
-    std::vector<std::thread> scan_threads;
-    std::vector<std::pair<std::size_t, ScanOutcome>> local_results(
-        assigns.size());
-    std::vector<Clock::time_point> local_done(assigns.size());
+    // Local devices. A real device scans on its own thread, so the
+    // devices of a node work concurrently. A simulated device's scan
+    // is computed inline: its duration is model time, so it completes
+    // at t_scatter_end + busy, and the node waits that out on the
+    // clock (the parent genuinely waits for the slower device).
+    std::vector<simnet::ClockThread> scan_threads;
+    std::vector<ScanOutcome> local_results(assigns.size());
+    std::vector<double> local_done(assigns.size());
     for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
-      Member& m = members_[assigns[ai].member];
-      if (!m.device) continue;
-      local_results[ai].first = assigns[ai].member;
-      scan_threads.emplace_back(
-          [this, ai, &assigns, &local_results, &local_done, &m] {
-            ScanOutcome out = m.device->scan(assigns[ai].chunk);
-            if (m.device->is_simulated()) {
-              net_.clock().sleep_virtual(out.busy_virtual_s);
-            }
-            local_results[ai].second = std::move(out);
-            local_done[ai] = Clock::now();
-          });
+      IntervalSearcher* device = members_[assigns[ai].member].device;
+      if (device == nullptr || device->is_simulated()) continue;
+      scan_threads.emplace_back(clock, [&, ai, device] {
+        local_results[ai] = device->scan(assigns[ai].chunk);
+        local_done[ai] = clock.now();
+      });
     }
-    const auto t_scatter_end = Clock::now();
+    const double t_scatter_end = clock.now();
+    double simulated_until = t_scatter_end;
+    for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
+      IntervalSearcher* device = members_[assigns[ai].member].device;
+      if (device == nullptr || !device->is_simulated()) continue;
+      local_results[ai] = device->scan(assigns[ai].chunk);
+      local_done[ai] = t_scatter_end + local_results[ai].busy_virtual_s;
+      simulated_until = std::max(simulated_until, local_done[ai]);
+    }
     for (auto& t : scan_threads) t.join();
-    for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
-      if (members_[assigns[ai].member].device) {
-        completions.push_back(local_done[ai]);
-      }
-    }
+    clock.sleep_virtual(simulated_until - clock.now());
 
     // Merge local outcomes.
     for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
       Member& m = members_[assigns[ai].member];
       if (!m.device) continue;
-      const ScanOutcome& out = local_results[ai].second;
+      const ScanOutcome& out = local_results[ai];
+      completions.push_back(local_done[ai]);
       m.tested += out.tested;
       m.busy_virtual_s += out.busy_virtual_s;
       total.tested += out.tested;
@@ -265,13 +251,12 @@ WorkResult NodeAgent::process_interval(const keyspace::Interval& interval,
     for (const Assignment& a : assigns) {
       if (members_[a.member].child) awaiting.insert(a.member);
     }
-    const double floor_virtual =
-        config_.min_timeout_real_s / net_.clock().scale();
+    const double floor_virtual = config_.min_timeout_real_s / clock.scale();
     const double window = std::max(
         floor_virtual, expected_round_s * config_.child_timeout_factor);
-    const auto deadline = net_.clock().deadline(window);
+    const double deadline = clock.now() + window;
     while (!awaiting.empty()) {
-      const double budget = remaining_virtual(net_.clock(), deadline);
+      const double budget = deadline - clock.now();
       if (budget <= 0) break;
       auto msg = net_.recv(self_, budget);
       if (!msg) break;
@@ -299,7 +284,7 @@ WorkResult NodeAgent::process_interval(const keyspace::Interval& interval,
           total.tested += result->tested;
           total.busy_virtual_s += result->busy_virtual_s;
           for (const Found& f : result->found) total.found.push_back(f);
-          completions.push_back(Clock::now());
+          completions.push_back(clock.now());
           awaiting.erase(it);
           break;
         }
@@ -310,18 +295,18 @@ WorkResult NodeAgent::process_interval(const keyspace::Interval& interval,
     // dispatcher: scatter = sends + local spawns, search = first/last
     // member completion, gather = trailing wait and merge.
     if (!completions.empty()) {
-      const auto t_round_end = Clock::now();
-      const auto first_done =
+      const double t_round_end = clock.now();
+      const double first_done =
           *std::min_element(completions.begin(), completions.end());
-      const auto last_done =
+      const double last_done =
           *std::max_element(completions.begin(), completions.end());
       RoundCosts costs;
       costs.round = tag;
       costs.members = assigns.size();
-      costs.scatter_s = net_.clock().to_virtual(t_scatter_end - t_round_start);
-      costs.search_min_s = net_.clock().to_virtual(first_done - t_scatter_end);
-      costs.search_max_s = net_.clock().to_virtual(last_done - t_scatter_end);
-      costs.gather_s = net_.clock().to_virtual(t_round_end - last_done);
+      costs.scatter_s = t_scatter_end - t_round_start;
+      costs.search_min_s = first_done - t_scatter_end;
+      costs.search_max_s = last_done - t_scatter_end;
+      costs.gather_s = t_round_end - last_done;
       ledger_.record(costs);
     }
 
@@ -357,25 +342,24 @@ void NodeAgent::forward_stop() {
 void NodeAgent::serve() {
   const auto parent = net_.parent_of(self_);
   GKS_REQUIRE(parent.has_value(), "serve() is for non-root nodes");
-  auto last_parent_traffic = Clock::now();
+  const simnet::VirtualClock& clock = net_.clock();
+  const double orphan_virtual = config_.orphan_timeout_real_s / clock.scale();
+  double last_parent_traffic = clock.now();
   for (;;) {
     // Bounded waits, for two failure modes: an injected crash of THIS
     // node must terminate the thread (a downed node can never receive
     // the final StopSearch), and a dead dispatcher above must not
     // leave this subtree waiting forever (orphan timeout).
-    auto msg = net_.recv(self_, 0.05 / net_.clock().scale());
+    auto msg = net_.recv(self_, 0.05 / clock.scale());
     if (!msg) {
       if (net_.is_down(self_)) return;
-      const double idle_s = std::chrono::duration<double>(
-                                Clock::now() - last_parent_traffic)
-                                .count();
-      if (idle_s > config_.orphan_timeout_real_s) {
+      if (clock.now() - last_parent_traffic > orphan_virtual) {
         forward_stop();
         return;
       }
       continue;
     }
-    last_parent_traffic = Clock::now();
+    last_parent_traffic = clock.now();
     if (const auto* tune = std::any_cast<TuneRequest>(&msg->payload)) {
       const Capability cap = tune_all(tune->scratch);
       net_.send(self_, *parent, TuneReport{cap});
@@ -404,10 +388,10 @@ SearchReport NodeAgent::run_root(const keyspace::Interval& space,
                                  const keyspace::Interval& tune_scratch) {
   const Capability cluster = tune_all(tune_scratch);
 
-  const auto start = Clock::now();
+  const double start = net_.clock().now();
   bool stopped = false;
   const WorkResult result = process_interval(space, 1, stopped);
-  const double elapsed = net_.clock().to_virtual(Clock::now() - start);
+  const double elapsed = net_.clock().now() - start;
 
   forward_stop();
 

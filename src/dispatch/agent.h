@@ -9,7 +9,6 @@
 #include "dispatch/search.h"
 #include "dispatch/tuner.h"
 #include "simnet/network.h"
-#include "support/thread_pool.h"
 
 namespace gks::dispatch {
 
@@ -38,7 +37,9 @@ struct AgentConfig {
 
   /// Floor on the timeout in *real* seconds, protecting fault
   /// detection from host scheduling jitter when virtual time is
-  /// heavily compressed.
+  /// heavily compressed. It is applied as min_timeout_real_s / scale
+  /// virtual seconds, which an event-driven clock keeps exactly (no
+  /// jitter to absorb there, but the same simulated behaviour).
   double min_timeout_real_s = 0.25;
 
   /// A serving node that has been idle (no parent traffic) this many
@@ -47,6 +48,7 @@ struct AgentConfig {
   /// paper's caveat that "the inactivity of a dispatching node would
   /// block the contribution of all the nodes in the dispatching sub
   /// tree" — the orphans cannot contribute, but they must not hang.
+  /// Measured on the clock like min_timeout_real_s.
   double orphan_timeout_real_s = 10.0;
 
   /// Stop dispatching new work once a solution is known.

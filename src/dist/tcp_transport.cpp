@@ -61,9 +61,16 @@ std::string sockaddr_text(const sockaddr_storage& ss) {
     port = ntohs(a->sin6_port);
     // Bracketed so the text round-trips through split_address (a v6
     // listener's address() is directly usable as a connect target).
-    return "[" + std::string(host) + "]:" + std::to_string(port);
+    std::string text = "[";
+    text += host;
+    text += "]:";
+    text += std::to_string(port);
+    return text;
   }
-  return std::string(host) + ":" + std::to_string(port);
+  std::string text = host;
+  text += ':';
+  text += std::to_string(port);
+  return text;
 }
 
 /// poll() one fd for `events`, bounded by the deadline semantics of

@@ -86,29 +86,25 @@ inline MessageBlock pack_sha_block(std::string_view key) {
 /// its interval with the prefix-major `next` operator, so it has a
 /// dedicated fast path.
 inline std::uint32_t pack_md5_word0(const char* prefix, std::size_t key_len) {
-  std::array<std::uint8_t, 4> b{};
   const std::size_t n = key_len < 4 ? key_len : 4;
+  std::uint32_t word = 0;
   for (std::size_t i = 0; i < n; ++i)
-    b[i] = static_cast<std::uint8_t>(prefix[i]);
-  if (key_len < 4) b[key_len] = 0x80;
-  return static_cast<std::uint32_t>(b[0]) |
-         static_cast<std::uint32_t>(b[1]) << 8 |
-         static_cast<std::uint32_t>(b[2]) << 16 |
-         static_cast<std::uint32_t>(b[3]) << 24;
+    word |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(prefix[i]))
+            << (8 * i);
+  if (key_len < 4) word |= 0x80u << (8 * key_len);  // the terminator
+  return word;
 }
 
 /// Repacks the first four key characters into SHA1 message word 0
 /// (big-endian counterpart of pack_md5_word0).
 inline std::uint32_t pack_sha_word0(const char* prefix, std::size_t key_len) {
-  std::array<std::uint8_t, 4> b{};
   const std::size_t n = key_len < 4 ? key_len : 4;
+  std::uint32_t word = 0;
   for (std::size_t i = 0; i < n; ++i)
-    b[i] = static_cast<std::uint8_t>(prefix[i]);
-  if (key_len < 4) b[key_len] = 0x80;
-  return static_cast<std::uint32_t>(b[0]) << 24 |
-         static_cast<std::uint32_t>(b[1]) << 16 |
-         static_cast<std::uint32_t>(b[2]) << 8 |
-         static_cast<std::uint32_t>(b[3]);
+    word |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(prefix[i]))
+            << (24 - 8 * i);
+  if (key_len < 4) word |= 0x80u << (24 - 8 * key_len);  // the terminator
+  return word;
 }
 
 }  // namespace gks::hash

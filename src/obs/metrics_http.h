@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <thread>
@@ -43,7 +44,8 @@ class MetricsHttpServer {
   int wake_fds_[2] = {-1, -1};  ///< self-pipe to unblock the poll loop
   std::string address_;
   std::thread thread_;
-  bool running_ = false;
+  /// Written by start()/stop(), read by the serve loop's thread.
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace gks::obs

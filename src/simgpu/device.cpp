@@ -1,21 +1,10 @@
 #include "simgpu/device.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "support/error.h"
 
 namespace gks::simgpu {
-namespace {
-
-std::string cache_key(const KernelProfile& profile) {
-  std::ostringstream os;
-  for (auto c : profile.per_candidate.counts) os << c << ',';
-  os << "ilp=" << profile.ilp << ",ovh=" << profile.overhead_fraction;
-  return os.str();
-}
-
-}  // namespace
 
 SimulatedGpu::SimulatedGpu(DeviceSpec spec, SimtConfig config,
                            LaunchPolicy launch)
@@ -26,14 +15,7 @@ SimulatedGpu::SimulatedGpu(DeviceSpec spec, SimtConfig config,
 }
 
 double SimulatedGpu::sustained_throughput(const KernelProfile& profile) const {
-  const std::string key = cache_key(profile);
-  if (const auto it = throughput_cache_.find(key);
-      it != throughput_cache_.end()) {
-    return it->second;
-  }
-  const double t = SimtSimulator::device_throughput(spec_, profile, config_);
-  throughput_cache_.emplace(key, t);
-  return t;
+  return SimtSimulator::device_throughput(spec_, profile, config_);
 }
 
 u128 SimulatedGpu::batch_size(const KernelProfile& profile) const {

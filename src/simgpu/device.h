@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "simgpu/arch.h"
@@ -25,8 +24,9 @@ struct LaunchPolicy {
 
 /// A simulated CUDA device: a DeviceSpec plus the SIMT pipeline
 /// simulator, answering "how long would this device take to test N
-/// candidates with this kernel". Throughput per kernel profile is
-/// simulated once and cached (the simulation is deterministic).
+/// candidates with this kernel". The per-multiprocessor simulation is
+/// memoized process-wide (SimtSimulator::device_throughput), so every
+/// instance of a device answers from one simulation.
 class SimulatedGpu {
  public:
   explicit SimulatedGpu(DeviceSpec spec, SimtConfig config = {},
@@ -56,8 +56,6 @@ class SimulatedGpu {
   DeviceSpec spec_;
   SimtConfig config_;
   LaunchPolicy launch_;
-  /// Cache keyed by the profile's mix + ilp (deterministic result).
-  mutable std::map<std::string, double> throughput_cache_;
 };
 
 }  // namespace gks::simgpu

@@ -1,7 +1,12 @@
 #include "simgpu/simt.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <tuple>
 
 #include "support/error.h"
 
@@ -226,12 +231,78 @@ SimtResult SimtSimulator::run(const KernelProfile& profile) const {
   return result;
 }
 
+namespace {
+
+/// Every input of SimtSimulator::run for a canonical architecture.
+/// The overhead fraction is keyed by its bits, so no two doubles that
+/// could simulate differently share an entry.
+using MemoKey =
+    std::tuple<ComputeCapability, std::array<std::uint32_t, kMachineOpCount>,
+               unsigned, std::uint64_t, unsigned, unsigned, std::uint64_t,
+               std::uint64_t>;
+
+MemoKey memo_key(ComputeCapability cc, const KernelProfile& profile,
+                 const SimtConfig& config) {
+  return {cc,
+          profile.per_candidate.counts,
+          profile.ilp,
+          std::bit_cast<std::uint64_t>(profile.overhead_fraction),
+          config.resident_warps,
+          config.arithmetic_latency,
+          config.measure_cycles,
+          config.warmup_cycles};
+}
+
+/// One memo slot; the first caller simulates, concurrent callers of
+/// the same key wait for it, callers of other keys run in parallel.
+struct MemoEntry {
+  std::once_flag once;
+  SimtResult result;
+};
+
+class SimtMemo {
+ public:
+  static SimtMemo& instance() {
+    static SimtMemo memo;
+    return memo;
+  }
+
+  SimtResult get(ComputeCapability cc, const KernelProfile& profile,
+                 const SimtConfig& config) {
+    std::shared_ptr<MemoEntry> entry;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto& slot = entries_[memo_key(cc, profile, config)];
+      if (!slot) slot = std::make_shared<MemoEntry>();
+      entry = slot;
+    }
+    std::call_once(entry->once, [&] {
+      entry->result = SimtSimulator(arch_for(cc), config).run(profile);
+    });
+    return entry->result;
+  }
+
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_.size();
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<MemoKey, std::shared_ptr<MemoEntry>> entries_;
+};
+
+}  // namespace
+
 double SimtSimulator::device_throughput(const DeviceSpec& device,
                                         const KernelProfile& profile,
                                         const SimtConfig& config) {
-  SimtSimulator sim(device.arch(), config);
-  const SimtResult r = sim.run(profile);
+  const SimtResult r = SimtMemo::instance().get(device.cc, profile, config);
   return r.candidates_per_cycle * device.clock_hz() * device.mp_count;
+}
+
+std::size_t SimtSimulator::memo_entries() {
+  return SimtMemo::instance().size();
 }
 
 }  // namespace gks::simgpu

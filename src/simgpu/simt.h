@@ -63,9 +63,18 @@ class SimtSimulator {
 
   /// Device-level sustained throughput (candidates per second):
   /// per-MP result scaled by clock and multiprocessor count.
+  ///
+  /// run() is a pure function of (compute capability, profile,
+  /// config), so the per-MP result is simulated once per distinct
+  /// input and kept in a process-wide, thread-safe memo; two devices
+  /// of one capability share it and differ only by clock × MP count.
+  /// The memo cannot change a result, only when it is computed.
   static double device_throughput(const DeviceSpec& device,
                                   const KernelProfile& profile,
                                   const SimtConfig& config = {});
+
+  /// Distinct per-MP results simulated so far in this process.
+  static std::size_t memo_entries();
 
  private:
   /// Core groups an op class may execute on (indices into the MP's

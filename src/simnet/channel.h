@@ -1,7 +1,6 @@
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -42,14 +41,7 @@ class Mailbox {
   /// Enqueues a message deliverable after an explicit virtual delay —
   /// used by Network, where the delay comes from the per-edge LinkSpec
   /// rather than this mailbox's default.
-  void send_with_delay(Message msg, double virtual_delay_s) {
-    const auto deliver_at = clock_.deadline(virtual_delay_s);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back({deliver_at, std::move(msg)});
-    }
-    cv_.notify_all();
-  }
+  void send_with_delay(Message msg, double virtual_delay_s);
 
   /// Blocks until a message is deliverable or `timeout_virtual_s`
   /// virtual seconds elapse; returns nullopt on timeout. A negative
@@ -57,24 +49,26 @@ class Mailbox {
   std::optional<Message> recv(double timeout_virtual_s = -1.0);
 
   /// Non-blocking receive of an already-deliverable message.
+  /// Messages due at one virtual instant come out ordered by sender
+  /// id, then by send order, whatever order the threads ran in.
   std::optional<Message> try_recv();
 
   const LinkSpec& spec() const { return spec_; }
 
  private:
   struct Pending {
-    std::chrono::steady_clock::time_point deliver_at;
+    double deliver_at;  ///< virtual seconds on the clock
+    std::uint64_t seq;  ///< send order
     Message msg;
   };
 
-  std::optional<Message> pop_deliverable_locked(
-      std::chrono::steady_clock::time_point now);
+  std::optional<Message> pop_deliverable_locked(double now);
 
   const VirtualClock& clock_;
   LinkSpec spec_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  std::mutex mu_;  ///< taken inside the clock's lock, never around it
   std::deque<Pending> queue_;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace gks::simnet

@@ -4,8 +4,8 @@
 
 namespace gks::simnet {
 
-Network::Network(double time_scale, std::uint64_t seed)
-    : clock_(time_scale), rng_(seed) {}
+Network::Network(double time_scale, std::uint64_t seed, TimeMode mode)
+    : clock_(time_scale, mode), rng_(seed) {}
 
 Network::~Network() { join_all(); }
 
@@ -105,13 +105,11 @@ bool Network::is_down(NodeId id) const {
 void Network::start(NodeId id, std::function<void()> body) {
   NodeState& n = node(id);
   GKS_REQUIRE(!n.thread.joinable(), "node already started");
-  n.thread = std::thread(std::move(body));
+  n.thread = ClockThread(clock_, std::move(body));
 }
 
 void Network::join_all() {
-  for (auto& n : nodes_) {
-    if (n->thread.joinable()) n->thread.join();
-  }
+  for (auto& n : nodes_) n->thread.join();
 }
 
 }  // namespace gks::simnet

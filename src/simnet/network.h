@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simnet/channel.h"
@@ -22,7 +21,10 @@ namespace gks::simnet {
 /// Each node owns one mailbox for all incoming traffic and runs its
 /// role logic on its own thread, so the dispatch pattern executes with
 /// real concurrency; only the *durations* (link transfer times, device
-/// compute times) are virtual, scaled by the shared VirtualClock.
+/// compute times) are virtual, kept by the shared VirtualClock. In
+/// event-driven mode every thread that touches the network must take
+/// part in the clock: node threads do (start() makes them
+/// ClockThreads); the calling thread holds a VirtualClock::Participant.
 ///
 /// Failure injection: a node marked down neither receives nor emits
 /// messages (a crashed or partitioned PC); links may also drop
@@ -30,7 +32,11 @@ namespace gks::simnet {
 /// purely as timeouts, exactly as a real master would see them.
 class Network {
  public:
-  explicit Network(double time_scale = 1e-3, std::uint64_t seed = 2014);
+  static constexpr std::uint64_t kDefaultSeed = 2014;
+
+  explicit Network(double time_scale = 1e-3,
+                   std::uint64_t seed = kDefaultSeed,
+                   TimeMode mode = TimeMode::kWallClock);
   ~Network();
 
   Network(const Network&) = delete;
@@ -73,7 +79,7 @@ class Network {
   /// Starts `body` as the node's thread. Each node may be started once.
   void start(NodeId id, std::function<void()> body);
 
-  /// Joins all started node threads.
+  /// Joins all started node threads (a clock-aware join).
   void join_all();
 
  private:
@@ -84,7 +90,7 @@ class Network {
     std::vector<NodeId> children;
     std::map<NodeId, LinkSpec> links;
     bool down = false;
-    std::thread thread;
+    ClockThread thread;
   };
 
   NodeState& node(NodeId id);

@@ -66,6 +66,28 @@ TEST(Cluster, NetworkThroughputIsNearTheSumOfDevices) {
   EXPECT_LE(report.efficiency, 1.05);
 }
 
+TEST(Cluster, PaperCrackIsBitIdenticalAcrossRuns) {
+  // Every device is model-timed, so the run keeps event-driven virtual
+  // time: host load and thread scheduling cannot reach the report.
+  const std::string planted = "k3yXy2a";
+  const auto run = [&] {
+    ClusterCracker cluster(ClusterCracker::paper_topology(),
+                           model_options(planted));
+    return cluster.crack(paper_request(planted));
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_EQ(first.elapsed_virtual_s, second.elapsed_virtual_s);
+  EXPECT_EQ(first.efficiency, second.efficiency);
+  EXPECT_EQ(first.rounds, second.rounds);
+  ASSERT_EQ(first.members.size(), second.members.size());
+  for (std::size_t i = 0; i < first.members.size(); ++i) {
+    EXPECT_EQ(first.members[i].tested, second.members[i].tested);
+    EXPECT_EQ(first.members[i].busy_virtual_s,
+              second.members[i].busy_virtual_s);
+  }
+}
+
 TEST(Cluster, CpuOnlyClusterDoesRealWork) {
   ClusterNode root{"cpu-root", {ClusterDevice::cpu(2)}, {}, {}};
   ClusterNode leaf{"cpu-leaf", {ClusterDevice::cpu(2)}, {}, {}};

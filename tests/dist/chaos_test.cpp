@@ -199,6 +199,12 @@ FaultSpec one_fault(double FaultSpec::*knob, double p) {
   return f;
 }
 
+// The case's name is its printed value, which ctest's test discovery
+// turns into the test name (.../drop). The default print would be the
+// struct's raw bytes, pointers included, so the names would change
+// from build to build.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.name; }
+
 class ChaosMatrix : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosMatrix, ExactlyOnceCompletionUnderInjectedFaults) {
@@ -334,10 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
                   {Partition{0.0, 0.8, ""}}},
         ChaosCase{"kitchen_sink", 707, mixed_spec(), mixed_spec(), {}},
         ChaosCase{"kitchen_sink_alt_seed", 4242, mixed_spec(), mixed_spec(),
-                  {}}),
-    [](const ::testing::TestParamInfo<ChaosCase>& info) {
-      return std::string(info.param.name);
-    });
+                  {}}));
 
 // ---------------------------------------------------------------------------
 // Flaky link, simnet-native: 40% loss on the coordinator↔worker path

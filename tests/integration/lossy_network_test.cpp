@@ -42,7 +42,10 @@ class PlantedSearcher final : public IntervalSearcher {
 };
 
 TEST(LossyNetwork, SearchSurvivesHeavyMessageLoss) {
-  simnet::Network net(1e-4, /*seed=*/33);
+  // Model-timed devices only: the event-driven clock runs the search,
+  // and the orphaned leaf's unwind, without sleeping.
+  simnet::Network net(1e-4, /*seed=*/33, simnet::TimeMode::kEventDriven);
+  const simnet::VirtualClock::Participant self(net.clock());
   const auto root = net.add_node("root");
   const auto leaf = net.add_node("leaf");
   simnet::LinkSpec lossy;
@@ -78,7 +81,10 @@ TEST(LossyNetwork, SearchSurvivesHeavyMessageLoss) {
 }
 
 TEST(LossyNetwork, TotalBlackoutDegradesToLocalDevices) {
-  simnet::Network net(1e-4, /*seed=*/5);
+  // Model-timed devices only: the event-driven clock runs the search,
+  // and the orphaned leaf's unwind, without sleeping.
+  simnet::Network net(1e-4, /*seed=*/5, simnet::TimeMode::kEventDriven);
+  const simnet::VirtualClock::Participant self(net.clock());
   const auto root = net.add_node("root");
   const auto leaf = net.add_node("leaf");
   simnet::LinkSpec dead;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "support/error.h"
 
 #include "simgpu/model.h"
@@ -95,6 +98,83 @@ TEST(Device, TheoreticalMatchesModel) {
   EXPECT_DOUBLE_EQ(
       gpu.theoretical_throughput(mix),
       ThroughputModel::theoretical_throughput(device_by_name("550Ti"), mix));
+}
+
+// The per-MP simulation is memoized process-wide. Each test below uses
+// a SimtConfig no other test uses, so its memo entries are fresh.
+
+double direct_throughput(const DeviceSpec& dev, const KernelProfile& profile,
+                         const SimtConfig& config) {
+  const SimtResult r = SimtSimulator(dev.arch(), config).run(profile);
+  return r.candidates_per_cycle * dev.clock_hz() * dev.mp_count;
+}
+
+TEST(SimtMemo, TwoGpusOfOneDeviceReturnBitIdenticalThroughput) {
+  SimtConfig config;
+  config.measure_cycles = 12000;
+  const DeviceSpec& dev = device_by_name("660");
+  const SimulatedGpu first(dev, config);
+  const SimulatedGpu second(dev, config);
+  const double a = first.sustained_throughput(test_profile());
+  const double b = second.sustained_throughput(test_profile());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, direct_throughput(dev, test_profile(), config));
+}
+
+TEST(SimtMemo, EachConfigAndIlpGetsItsOwnEntry) {
+  SimtConfig config;
+  config.measure_cycles = 13000;
+  const DeviceSpec& dev = device_by_name("550Ti");
+  KernelProfile ilp1 = test_profile();
+  KernelProfile ilp2 = test_profile();
+  ilp2.ilp = 2;
+
+  const std::size_t before = SimtSimulator::memo_entries();
+  const double base = SimtSimulator::device_throughput(dev, ilp1, config);
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 1);
+  EXPECT_EQ(SimtSimulator::device_throughput(dev, ilp1, config), base);
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 1);
+
+  // ILP=2 lets the cc 2.1 part dual-issue: a different result, so it
+  // must not be answered from the ILP=1 entry.
+  const double interleaved = SimtSimulator::device_throughput(dev, ilp2, config);
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 2);
+  EXPECT_GT(interleaved, base);
+  EXPECT_EQ(interleaved, direct_throughput(dev, ilp2, config));
+
+  // Too few resident warps to hide the latency: another config,
+  // another entry, another result.
+  SimtConfig starved = config;
+  starved.resident_warps = 2;
+  const double slow = SimtSimulator::device_throughput(dev, ilp1, starved);
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 3);
+  EXPECT_LT(slow, base);
+  EXPECT_EQ(slow, direct_throughput(dev, ilp1, starved));
+
+  // Another device of the same capability shares the per-MP entry.
+  const DeviceSpec& sibling = device_by_name("540M");
+  ASSERT_EQ(sibling.cc, dev.cc);
+  EXPECT_EQ(SimtSimulator::device_throughput(sibling, ilp1, config),
+            direct_throughput(sibling, ilp1, config));
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 3);
+}
+
+TEST(SimtMemo, ConcurrentFirstCallsAgree) {
+  SimtConfig config;
+  config.measure_cycles = 14000;
+  const DeviceSpec& dev = device_by_name("8800");
+  const std::size_t before = SimtSimulator::memo_entries();
+  std::vector<double> results(4, 0.0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    threads.emplace_back([&, i] {
+      results[i] = SimtSimulator::device_throughput(dev, test_profile(), config);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const double expected = direct_throughput(dev, test_profile(), config);
+  for (const double r : results) EXPECT_EQ(r, expected);
+  EXPECT_EQ(SimtSimulator::memo_entries(), before + 1);
 }
 
 }  // namespace
