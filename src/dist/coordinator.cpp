@@ -100,6 +100,11 @@ struct Coordinator::Session {
   /// reach it as `spec_found` on each job's first lease, not by
   /// replaying history.
   std::size_t found_cursor = 0;
+  /// The reply cache: the highest request id answered and the exact
+  /// bytes of that answer. A worker has one request in flight, so one
+  /// entry is enough; a retransmit of last_rid gets last_reply again.
+  std::uint64_t last_rid = 0;
+  std::string last_reply;
 };
 
 Coordinator::Coordinator(service::JobManager& manager, Transport& transport,
@@ -356,12 +361,15 @@ void Coordinator::fill_updates(Session& session,
   }
 }
 
-std::string Coordinator::handle(Session& session, const std::string& body) {
+std::optional<std::string> Coordinator::respond(Session& session,
+                                                const std::string& body) {
   json::Value msg;
   std::string type;
+  std::uint64_t rid = 0;
   try {
     msg = json::parse(body);
     type = message_type(msg);
+    rid = request_id(msg);
   } catch (const Error& e) {
     std::lock_guard lock(mu_);
     ++stats_.protocol_errors;
@@ -372,7 +380,20 @@ std::string Coordinator::handle(Session& session, const std::string& body) {
     }
     return encode(ErrorMsg{std::string("bad message: ") + e.what()});
   }
+  if (rid == 0) return handle(session, msg, type);
+  // A retransmit of the request just answered: its reply was lost, or
+  // crossed the retransmit on the wire. Answer again without applying
+  // it twice. An older id is a stale copy whose answer already went
+  // out, and the worker has moved on from it.
+  if (rid == session.last_rid) return session.last_reply;
+  if (rid < session.last_rid) return std::nullopt;
+  session.last_rid = rid;
+  session.last_reply = stamp_rid(handle(session, msg, type), rid);
+  return session.last_reply;
+}
 
+std::string Coordinator::handle(Session& session, const json::Value& msg,
+                                const std::string& type) {
   // Decodes one message body; a malformed field is a protocol strike
   // against the worker, unlike manager-level failures (unknown job,
   // expired lease) which are honest races and nack without a strike.
@@ -674,8 +695,8 @@ void Coordinator::serve_session(std::shared_ptr<Session> session) {
         }
         break;
       }
-      const std::string reply = handle(*session, *body);
-      conn.send(reply);
+      const std::optional<std::string> reply = respond(*session, *body);
+      if (reply.has_value()) conn.send(*reply);
       if (!session->hello_done) break;  // pre-hello protocol error
     }
   } catch (const TransportError&) {

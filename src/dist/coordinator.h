@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -141,11 +142,18 @@ class Coordinator {
   void accept_loop();
   void reaper_loop();
   void serve_session(std::shared_ptr<Session> session);
-  /// One request → one response string (never throws; protocol
+  /// One request body → the reply to send, or nullopt for a stale
+  /// request id that gets no answer. Parses the body once and checks
+  /// its rid against the session's reply cache before handle() runs
+  /// any side effect (protocol.h, "Request ids").
+  std::optional<std::string> respond(Session& session,
+                                     const std::string& body);
+  /// One parsed request → one response string (never throws; protocol
   /// failures become error/nack responses). `session` accumulates the
   /// per-connection state (holder id, specs already sent, found-log
   /// cursor).
-  std::string handle(Session& session, const std::string& body);
+  std::string handle(Session& session, const json::Value& msg,
+                     const std::string& type);
   /// Piggyback state for a response: leases of this session that died
   /// under it, and recoveries it has not heard yet.
   void fill_updates(Session& session, std::vector<std::uint64_t>& cancelled,

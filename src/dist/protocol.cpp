@@ -73,6 +73,27 @@ std::string message_type(const json::Value& v) {
   return v.at("type").as_string();
 }
 
+std::string stamp_rid(std::string body, std::uint64_t rid) {
+  if (rid == 0) return body;
+  // Every encoded message is a JSON object with at least a "type"
+  // member, so the id goes in as one more member before the brace.
+  GKS_REQUIRE(body.size() > 2 && body.back() == '}',
+              "rid stamp needs an encoded message");
+  body.insert(body.size() - 1, ",\"rid\":" + std::to_string(rid));
+  return body;
+}
+
+std::uint64_t request_id(const json::Value& v) {
+  const json::Value* member = v.find("rid");
+  if (member == nullptr) return 0;
+  const double rid = member->as_number();
+  // Ids stay far below 2^53, so a JSON number carries them exactly.
+  GKS_REQUIRE(rid >= 0 && rid < 9007199254740992.0 &&
+                  rid == static_cast<double>(static_cast<std::uint64_t>(rid)),
+              "rid must be a non-negative integer");
+  return static_cast<std::uint64_t>(rid);
+}
+
 std::string encode(const HelloMsg& m) {
   json::Writer w;
   w.begin_object()

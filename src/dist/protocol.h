@@ -45,7 +45,17 @@ namespace gks::dist {
 ///
 /// All u128 quantities travel as decimal strings (json.h keeps large
 /// integers out of JSON numbers by design).
-inline constexpr int kProtocolVersion = 1;
+///
+/// Request ids: every worker request carries a per-session `rid`
+/// (1 for the hello, then +1 per request) and the reply echoes it. A
+/// worker that hears nothing retransmits the same bytes; the
+/// coordinator answers a repeat of its last rid from a one-entry reply
+/// cache, so a replayed lease_req/found/retire has no second effect.
+/// Requests without a rid (control clients) are handled uncached.
+///
+/// Version 2 added request ids: a retransmitting worker talking to a
+/// coordinator without the reply cache would double-apply requests.
+inline constexpr int kProtocolVersion = 2;
 
 /// A recovery broadcast: job `job` no longer needs `digest` (key was
 /// `key`). Responses piggyback these so every worker stops scanning
@@ -219,6 +229,15 @@ struct ErrorMsg {
 /// The "type" member of a parsed message; throws InvalidArgument when
 /// absent (every protocol message carries one).
 std::string message_type(const json::Value& v);
+
+/// Adds `"rid":rid` to one encoded message (any encode() output);
+/// rid 0 returns the body unchanged, which is how requests and replies
+/// without an id travel.
+std::string stamp_rid(std::string body, std::uint64_t rid);
+
+/// The request id a message carries; 0 when it has none. Throws
+/// InvalidArgument when the member is not a non-negative integer.
+std::uint64_t request_id(const json::Value& v);
 
 /// Encoders — one JSON document per message, ready for encode_frame().
 std::string encode(const HelloMsg& m);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -26,8 +27,9 @@ constexpr u128 kMaxChunk{u128(1) << 22};
 constexpr double kConnectTimeoutS = 5.0;
 
 /// Worker-side telemetry. The rtt histogram times every roundtrip()
-/// (lease requests, found reports, heartbeats, retires alike) — the
-/// protocol cost the benchmark's dist rungs decompose; lease_s is the whole
+/// (lease requests, found reports, heartbeats, retires alike) from its
+/// first send to its reply, retransmits included, in transport seconds
+/// — the protocol cost the benchmark's dist rungs decompose; lease_s is the whole
 /// grant→retire wall from the worker's side, chunk_s one scan slice.
 struct WorkerMetrics {
   obs::Counter& leases_completed =
@@ -38,6 +40,8 @@ struct WorkerMetrics {
       obs::Registry::global().counter("gks_worker_found_reported_total");
   obs::Counter& reconnects =
       obs::Registry::global().counter("gks_worker_reconnects_total");
+  obs::Counter& retransmits =
+      obs::Registry::global().counter("gks_worker_retransmits_total");
   obs::Counter& backoffs =
       obs::Registry::global().counter("gks_worker_backoffs_total");
   obs::Counter& hellos =
@@ -94,13 +98,31 @@ double backoff_delay(int attempt, const WorkerConfig& config,
   return base * (0.5 + rng.uniform01());
 }
 
+RetransmitTimer::RetransmitTimer(double ceiling_s)
+    : ceiling_(ceiling_s), rto_(std::min(1.0, ceiling_s)) {}
+
+void RetransmitTimer::sample(double rtt_s) {
+  if (srtt_ < 0) {
+    srtt_ = rtt_s;
+    rttvar_ = rtt_s / 2;
+  } else {
+    rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - rtt_s);
+    srtt_ = 0.875 * srtt_ + 0.125 * rtt_s;
+  }
+  rto_ = std::min(std::max(srtt_ + 4 * rttvar_, kMinRtoS), ceiling_);
+}
+
+void RetransmitTimer::back_off() { rto_ = std::min(2 * rto_, ceiling_); }
+
 WorkerDaemon::WorkerDaemon(Transport& transport, WorkerConfig config)
     : transport_(transport),
       config_(std::move(config)),
       rng_(config_.backoff_seed != 0
                ? config_.backoff_seed
-               : 0x9e3779b97f4a7c15ULL ^ crc32(config_.name)) {
+               : 0x9e3779b97f4a7c15ULL ^ crc32(config_.name)),
+      rto_(config_.recv_timeout_s) {
   GKS_REQUIRE(config_.threads > 0, "worker needs at least one scan thread");
+  GKS_REQUIRE(config_.recv_timeout_s > 0, "recv timeout must be positive");
   GKS_REQUIRE(config_.reconnect_backoff_s > 0,
               "reconnect backoff must be positive");
   GKS_REQUIRE(config_.reconnect_backoff_s <= config_.reconnect_backoff_max_s,
@@ -173,20 +195,53 @@ bool WorkerDaemon::apply_ack(const AckMsg& ack, std::uint64_t lease_id) {
 
 json::Value WorkerDaemon::roundtrip(Connection& conn,
                                     const std::string& body) {
-  const auto start = std::chrono::steady_clock::now();
-  conn.send(body);
-  const auto reply = conn.recv(config_.recv_timeout_s);
-  if (!reply.has_value()) {
-    throw ConnectionClosed("coordinator silent past recv timeout");
-  }
-  wmetrics().rtt_s.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
-  return decode_reply([&] {
-    json::Value v = json::parse(*reply);
-    message_type(v);  // every reply must carry a type
+  const std::uint64_t rid = ++rid_;
+  const std::string request = stamp_rid(body, rid);
+  const double first_sent = transport_.now_s();
+  const double give_up = first_sent + config_.recv_timeout_s;
+  double sent = first_sent;
+  bool retransmitted = false;
+  conn.send(request);
+  for (;;) {
+    const double now = transport_.now_s();
+    if (now >= give_up) {
+      throw ConnectionClosed("coordinator silent past recv timeout");
+    }
+    const auto reply =
+        conn.recv(std::max(0.0, std::min(sent + rto_.rto_s(), give_up) - now));
+    if (!reply.has_value()) {
+      if (transport_.now_s() >= give_up) continue;  // the loop head throws
+      // The request or its reply was lost: send the same bytes again.
+      // The coordinator answers a repeat of its last rid from its reply
+      // cache, so nothing is applied twice.
+      rto_.back_off();
+      retransmitted = true;
+      wmetrics().retransmits.add(1);
+      {
+        std::lock_guard lock(stats_mu_);
+        ++stats_.retransmits;
+      }
+      sent = transport_.now_s();
+      conn.send(request);
+      continue;
+    }
+    std::uint64_t reply_rid = 0;
+    json::Value v = decode_reply([&] {
+      json::Value parsed = json::parse(*reply);
+      message_type(parsed);  // every reply must carry a type
+      reply_rid = request_id(parsed);
+      return parsed;
+    });
+    // A reply to an earlier request (a duplicated frame, or the second
+    // answer to a request that was retransmitted) is stale. A reply
+    // without an id answers a request the coordinator could not parse.
+    if (reply_rid != 0 && reply_rid != rid) continue;
+    const double rtt_s = transport_.now_s() - first_sent;
+    // Karn's rule: after a retransmit the reply could answer any copy.
+    if (!retransmitted) rto_.sample(rtt_s);
+    wmetrics().rtt_s.observe(rtt_s);
     return v;
-  });
+  }
 }
 
 u128 WorkerDaemon::scan_chunk(core::MultiSweeper& sweeper,
@@ -385,21 +440,26 @@ bool WorkerDaemon::run_lease(Connection& conn, const LeaseGrantWire& grant) {
   retire.busy_s = lease_busy;
   retire.metrics = piggyback_snapshot();
   const json::Value reply = roundtrip(conn, encode(retire));
-  if (message_type(reply) == "ack") {
-    const AckMsg ack = decode_reply([&] { return ack_from_json(reply); });
-    apply_ack(ack, 0);
-    if (ack.ok) {
-      wmetrics().leases_completed.add(1);
-    } else {
-      lease_span.note("expired");
-      wmetrics().leases_abandoned.add(1);
-    }
-    std::lock_guard lock(stats_mu_);
-    if (ack.ok) {
-      ++stats_.leases_completed;
-    } else {
-      ++stats_.leases_abandoned;  // expired before we got back
-    }
+  // A retire that drew anything but an ack (a garbled frame draws an
+  // error) left the lease live, and this session's heartbeats would
+  // renew it forever. Dropping the session has the coordinator revoke
+  // the lease and re-dispatch its interval.
+  if (message_type(reply) != "ack") {
+    throw ProtocolError("retire drew a non-ack reply");
+  }
+  const AckMsg ack = decode_reply([&] { return ack_from_json(reply); });
+  apply_ack(ack, 0);
+  if (ack.ok) {
+    wmetrics().leases_completed.add(1);
+  } else {
+    lease_span.note("expired");
+    wmetrics().leases_abandoned.add(1);
+  }
+  std::lock_guard lock(stats_mu_);
+  if (ack.ok) {
+    ++stats_.leases_completed;
+  } else {
+    ++stats_.leases_abandoned;  // expired before we got back
   }
   return true;
 }
@@ -408,6 +468,7 @@ bool WorkerDaemon::serve_session(Connection& conn) {
   HelloMsg hello;
   hello.name = config_.name;
   hello.threads = static_cast<int>(config_.threads);
+  rid_ = 0;  // request ids restart with each session
   const json::Value welcome_v = roundtrip(conn, encode(hello));
   if (message_type(welcome_v) != "welcome") {
     // Rejected (version mismatch, ejected, …): a transport-class error
@@ -517,8 +578,10 @@ bool WorkerDaemon::run(const std::string& coordinator_addr) {
     try {
       orderly = serve_session(*conn);
     } catch (const TransportError&) {
-      // Dropped mid-session: abandon in-flight state (the coordinator
-      // reclaims our leases) and reconnect with a fresh hello.
+      // Dropped mid-session (silent past recv_timeout_s, reset, or a
+      // reply it could not use): abandon in-flight state (the
+      // coordinator reclaims our leases) and reconnect with a fresh
+      // hello.
       sweepers_.clear();  // next session gets specs again
       wmetrics().reconnects.add(1);
       {

@@ -23,8 +23,11 @@ struct WorkerConfig {
   std::size_t threads = 1;
   /// Heartbeat cadence; the coordinator's welcome overrides it.
   double heartbeat_interval_s = 0.5;
-  /// recv timeout on an established session; a coordinator silent this
-  /// long is presumed gone.
+  /// Silence budget of one request, in transport seconds: a request
+  /// is retransmitted on the same session each time the RTT-derived
+  /// retransmit timer runs out (RetransmitTimer), and only a
+  /// coordinator that answers none of the copies for this long in
+  /// total is presumed gone, which costs a reconnect.
   double recv_timeout_s = 10.0;
   /// Reconnect attempts after a dropped connection (0 = give up at the
   /// first failure). The delay between attempts grows exponentially
@@ -51,6 +54,31 @@ struct WorkerConfig {
 double backoff_delay(int attempt, const WorkerConfig& config,
                      SplitMix64& rng);
 
+/// Floor of the retransmit timeout, in transport seconds: on a fast
+/// link the RTT estimate alone would retransmit on scheduling jitter.
+inline constexpr double kMinRtoS = 0.005;
+
+/// The retransmit timer of RFC 6298: RTO = srtt + 4·rttvar, at least
+/// kMinRtoS and at most `ceiling_s`; min(1 s, ceiling_s) before the
+/// first sample. Callers sample only round trips that were never
+/// retransmitted (Karn's rule), and back_off() doubles the RTO after
+/// each retransmit until the next sample recomputes it. Pure — unit-
+/// testable without a transport.
+class RetransmitTimer {
+ public:
+  explicit RetransmitTimer(double ceiling_s);
+
+  double rto_s() const { return rto_; }
+  void sample(double rtt_s);
+  void back_off();
+
+ private:
+  double ceiling_;
+  double srtt_ = -1;  ///< negative until the first sample
+  double rttvar_ = 0;
+  double rto_;
+};
+
 /// The dispatch client: leases interval quanta from a Coordinator,
 /// sweeps them with core::MultiSweeper, reports recoveries the moment
 /// they hit, and retires the scanned prefix. Heartbeats between chunks
@@ -67,6 +95,7 @@ class WorkerDaemon {
     std::uint64_t leases_abandoned = 0;  ///< cancelled under us or dropped
     std::uint64_t found_reported = 0;
     std::uint64_t reconnects = 0;
+    std::uint64_t retransmits = 0;  ///< requests re-sent on a live session
     u128 keys_scanned{0};
   };
 
@@ -115,8 +144,11 @@ class WorkerDaemon {
   /// contiguous tested count and appends hits.
   u128 scan_chunk(core::MultiSweeper& sweeper, const keyspace::Interval& iv,
                   std::vector<core::SweepHit>& hits);
-  /// Sends one frame and receives the reply; throws TransportError on
-  /// timeout (a silent coordinator is a dead coordinator).
+  /// Stamps the next request id on `body`, sends it and returns the
+  /// reply carrying that id, retransmitting on each RTO expiry and
+  /// discarding stale replies. Throws TransportError once the
+  /// coordinator has been silent for recv_timeout_s (a silent
+  /// coordinator is a dead coordinator).
   json::Value roundtrip(Connection& conn, const std::string& body);
   /// Applies piggybacked updates; returns false when `lease_id` (0 =
   /// none in flight) was cancelled under us.
@@ -135,6 +167,10 @@ class WorkerDaemon {
   /// run() resets the reconnect budget on it (never on a bare TCP
   /// connect, which an ejecting coordinator still grants).
   bool hello_ok_ = false;
+  /// Id of the last request sent on this session; the hello is 1.
+  std::uint64_t rid_ = 0;
+  /// Outlives sessions: a reconnect reaches the same coordinator.
+  RetransmitTimer rto_;
 
   /// Sweepers by job name — a worker sees many leases of the same job
   /// and pays target parsing / filter construction once.

@@ -76,6 +76,39 @@ TEST(Backoff, IsDeterministicFromTheSeed) {
 }
 
 // ---------------------------------------------------------------------------
+// RetransmitTimer: the pure RFC 6298 retransmit-timeout estimator.
+
+TEST(RetransmitTimer, StartsAtOneSecondOrTheCeilingBeforeAnySample) {
+  EXPECT_DOUBLE_EQ(RetransmitTimer(10.0).rto_s(), 1.0);
+  EXPECT_DOUBLE_EQ(RetransmitTimer(0.03).rto_s(), 0.03);
+}
+
+TEST(RetransmitTimer, FollowsRfc6298AboveTheFloor) {
+  RetransmitTimer t(10.0);
+  t.sample(0.1);  // srtt 0.1, rttvar 0.05
+  EXPECT_DOUBLE_EQ(t.rto_s(), 0.1 + 4 * 0.05);
+  t.sample(0.1);  // rttvar 3/4 of 0.05, srtt unchanged
+  EXPECT_DOUBLE_EQ(t.rto_s(), 0.1 + 4 * 0.0375);
+  t.sample(0.3);  // rttvar 3/4·0.0375 + 1/4·0.2, srtt 7/8·0.1 + 1/8·0.3
+  EXPECT_NEAR(t.rto_s(), 0.125 + 4 * (0.028125 + 0.05), 1e-12);
+
+  RetransmitTimer fast(10.0);
+  for (int i = 0; i < 8; ++i) fast.sample(1e-5);
+  EXPECT_DOUBLE_EQ(fast.rto_s(), kMinRtoS);
+}
+
+TEST(RetransmitTimer, BackOffDoublesUpToTheCeilingUntilTheNextSample) {
+  RetransmitTimer t(0.5);
+  t.sample(0.05);  // rto 0.15
+  t.back_off();
+  EXPECT_DOUBLE_EQ(t.rto_s(), 0.3);
+  t.back_off();
+  EXPECT_DOUBLE_EQ(t.rto_s(), 0.5);  // the ceiling
+  t.sample(0.05);  // rttvar 0.01875, srtt 0.05
+  EXPECT_DOUBLE_EQ(t.rto_s(), 0.05 + 4 * 0.01875);
+}
+
+// ---------------------------------------------------------------------------
 // FaultInjectingTransport in isolation, over simnet.
 
 struct PipeResult {
@@ -173,6 +206,9 @@ struct ChaosCase {
   FaultSpec send;
   FaultSpec recv;
   std::vector<Partition> partitions;
+  /// Lost and duplicated frames heal on the live session (retransmit,
+  /// stale replies discarded): such a case ends with no reconnects.
+  bool retransmit_heals = false;
 };
 
 FaultSpec drop_spec(double p) {
@@ -298,6 +334,10 @@ TEST_P(ChaosMatrix, ExactlyOnceCompletionUnderInjectedFaults) {
     EXPECT_EQ(s.targets_found, 1u);  // exactly once, despite replays
     ASSERT_EQ(s.found.size(), 1u);
     EXPECT_EQ(s.found[0].second, key);
+    if (c.retransmit_heals) {
+      EXPECT_EQ(w1.stats().reconnects, 0u) << "seed " << seed;
+      EXPECT_EQ(w2.stats().reconnects, 0u) << "seed " << seed;
+    }
   }
 
   // The journal written under chaos replays clean: coverage complete,
@@ -325,13 +365,13 @@ TEST_P(ChaosMatrix, ExactlyOnceCompletionUnderInjectedFaults) {
 INSTANTIATE_TEST_SUITE_P(
     Seeded, ChaosMatrix,
     ::testing::Values(
-        ChaosCase{"drop", 101, drop_spec(0.10), drop_spec(0.10), {}},
+        ChaosCase{"drop", 101, drop_spec(0.10), drop_spec(0.10), {}, true},
         ChaosCase{"drop_alt_seed", 31337, drop_spec(0.10), drop_spec(0.10),
-                  {}},
+                  {}, true},
         ChaosCase{"corrupt", 202, one_fault(&FaultSpec::corrupt, 0.08),
                   one_fault(&FaultSpec::corrupt, 0.05), {}},
         ChaosCase{"duplicate", 303, one_fault(&FaultSpec::duplicate, 0.20),
-                  one_fault(&FaultSpec::duplicate, 0.20), {}},
+                  one_fault(&FaultSpec::duplicate, 0.20), {}, true},
         ChaosCase{"truncate", 404, one_fault(&FaultSpec::truncate, 0.05),
                   one_fault(&FaultSpec::truncate, 0.03), {}},
         ChaosCase{"reset", 505, one_fault(&FaultSpec::reset, 0.02),
@@ -396,15 +436,20 @@ TEST(ChaosLink, LossyLinkHealsAndTheSweepCompletes) {
   net.set_link_loss(cn, wn, 0.4);
 
   // Keep the weather up until the dispatch tier demonstrably felt it
-  // (a session died and was reopened), then heal.
+  // (the worker retransmitted, or a session died and was reopened),
+  // then heal. A reopened session alone is no witness any more: it
+  // needs every retransmit of one request lost in a row.
+  const auto felt_loss = [&] {
+    return worker.stats().retransmits > 0 ||
+           coordinator.stats().sessions_opened >= 2;
+  };
   {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (coordinator.stats().sessions_opened < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
+    while (!felt_loss() && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    EXPECT_GE(coordinator.stats().sessions_opened, 2u);
+    EXPECT_TRUE(felt_loss());
   }
   net.set_link_loss(cn, wn, 0.0);
 
@@ -418,7 +463,62 @@ TEST(ChaosLink, LossyLinkHealsAndTheSweepCompletes) {
   EXPECT_EQ(s.targets_found, 1u);
   ASSERT_EQ(s.found.size(), 1u);
   EXPECT_EQ(s.found[0].second, key);
-  EXPECT_GE(worker.stats().reconnects, 1u);  // the loss actually bit
+  EXPECT_TRUE(felt_loss());  // the loss actually bit
+}
+
+// ---------------------------------------------------------------------------
+// The shipped defaults at 1% loss: an untuned WorkerConfig heals every
+// lost frame by retransmit on the live session. Each drop used to cost
+// a whole recv_timeout_s (10 s) before a reconnect.
+
+TEST(ChaosLink, DefaultConfigHealsOnePercentLossWithoutReconnecting) {
+  service::JobSpec spec = planted_job("alpha", "placeholder", 4, 4);
+  const u128 space = keyspace::space_size(spec.request.charset.size(), 4, 4);
+  const std::string key = key_at(spec, space - u128(1));
+  spec.request.target_hexes = {hash::Md5::digest(key).to_hex()};
+  service::JobServiceConfig scfg;
+  scfg.local_scan = false;
+  service::JobManager manager(scfg);
+  const auto id = manager.submit(spec);
+
+  TcpTransport tcp;
+  CoordinatorConfig ccfg;
+  // Small leases: about 110 grant/retire round trips, so 1% loss each
+  // way has hundreds of frames to bite on.
+  ccfg.max_lease = u128(4096);
+  Coordinator coordinator(manager, tcp, ccfg);
+  coordinator.start("127.0.0.1:0");
+
+  FaultPlan plan;
+  plan.send.drop = 0.01;
+  plan.recv.drop = 0.01;
+  // The injector rolls once per frame, and frames alternate request and
+  // reply, so the drops do not depend on timing: seed 17 drops the
+  // 28th, 127th and 180th frame of the roughly 450 this run passes.
+  FaultInjectingTransport faulty(tcp, plan, /*seed=*/17);
+  WorkerConfig wcfg;
+  wcfg.name = "w1";
+  WorkerDaemon worker(faulty, wcfg);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread t([&] { worker.run(coordinator.address()); });
+  const bool done = manager.wait(id, 60.0);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  worker.stop();
+  t.join();
+  coordinator.stop();
+
+  ASSERT_TRUE(done);
+  EXPECT_GT(faulty.stats().dropped, 0u);
+  EXPECT_EQ(worker.stats().reconnects, 0u);
+  const service::JobSnapshot s = manager.status(id);
+  EXPECT_EQ(s.state, service::JobState::kDone);
+  EXPECT_EQ(s.targets_found, 1u);
+  ASSERT_EQ(s.found.size(), 1u);
+  EXPECT_EQ(s.found[0].second, key);
+  EXPECT_LT(wall_s, WorkerConfig{}.recv_timeout_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,6 +585,110 @@ TEST(ChaosHealth, UnappliedFoundReportNeverRetiresTheLease) {
   EXPECT_FALSE(after_error.has_value()) << after_error->substr(0, 40);
   EXPECT_GE(worker.stats().reconnects, 1u);
   EXPECT_EQ(worker.stats().leases_completed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A retire that draws an error instead of an ack left its lease live on
+// the coordinator, where the session's heartbeats would renew it
+// forever. The worker must drop the session so the lease is revoked and
+// its interval re-dispatched.
+
+/// Worker-side transport that answers the first retire itself with the
+/// error a garbled frame draws; the coordinator never hears that retire.
+class RetireErrorTransport : public Transport {
+ public:
+  explicit RetireErrorTransport(Transport& inner) : inner_(inner) {}
+
+  std::unique_ptr<Listener> listen(const std::string& address) override {
+    return inner_.listen(address);
+  }
+  std::unique_ptr<Connection> connect(const std::string& address,
+                                      double timeout_s) override {
+    return std::make_unique<Conn>(inner_.connect(address, timeout_s),
+                                  injected_);
+  }
+  double now_s() const override { return inner_.now_s(); }
+  void sleep_s(double seconds) const override { inner_.sleep_s(seconds); }
+
+  bool injected() const { return injected_.load(); }
+
+ private:
+  /// The worker sends and receives on one thread, so `reply_` needs no
+  /// lock.
+  class Conn : public Connection {
+   public:
+    Conn(std::unique_ptr<Connection> inner, std::atomic<bool>& injected)
+        : inner_(std::move(inner)), injected_(injected) {}
+
+    void send(const std::string& frame) override {
+      if (!injected_.load() &&
+          message_type(json::parse(frame)) == "retire") {
+        injected_.store(true);
+        reply_ = encode(ErrorMsg{"bad message: truncated"});
+        return;
+      }
+      inner_->send(frame);
+    }
+    std::optional<std::string> recv(double timeout_s) override {
+      if (reply_.has_value()) {
+        std::optional<std::string> out;
+        out.swap(reply_);
+        return out;
+      }
+      return inner_->recv(timeout_s);
+    }
+    void close() override { inner_->close(); }
+    std::string peer() const override { return inner_->peer(); }
+
+   private:
+    std::unique_ptr<Connection> inner_;
+    std::atomic<bool>& injected_;
+    std::optional<std::string> reply_;
+  };
+
+  Transport& inner_;
+  std::atomic<bool> injected_{false};
+};
+
+TEST(ChaosHealth, NonAckRetireReplyRedispatchesTheLease) {
+  // A target outside the key space: the job is done only once every
+  // interval is covered, the errored retire's interval included.
+  service::JobSpec spec = planted_job("alpha", "zzzzz", 1, 3);
+  service::JobServiceConfig scfg;
+  scfg.local_scan = false;
+  service::JobManager manager(scfg);
+  const auto id = manager.submit(spec);
+
+  TcpTransport tcp;
+  CoordinatorConfig ccfg;
+  ccfg.lease_s = 60.0;  // only a revoke, never the reaper, frees the lease
+  ccfg.heartbeat_s = 0.25;
+  ccfg.idle_retry_s = 0.05;
+  ccfg.max_lease = u128(4096);
+  Coordinator coordinator(manager, tcp, ccfg);
+  coordinator.start("127.0.0.1:0");
+
+  RetireErrorTransport faulty(tcp);
+  WorkerConfig wcfg;
+  wcfg.name = "w1";
+  wcfg.reconnect_attempts = 100;
+  wcfg.reconnect_backoff_s = 0.01;
+  wcfg.reconnect_backoff_max_s = 0.05;
+  WorkerDaemon worker(faulty, wcfg);
+  std::thread t([&] { worker.run(coordinator.address()); });
+
+  const bool done = manager.wait(id, 30.0);
+  worker.stop();
+  t.join();
+  coordinator.stop();
+
+  ASSERT_TRUE(done) << "the errored retire's lease was never re-dispatched";
+  EXPECT_TRUE(faulty.injected());
+  const service::JobSnapshot s = manager.status(id);
+  EXPECT_EQ(s.state, service::JobState::kDone);
+  EXPECT_EQ(s.scanned, s.space);
+  EXPECT_EQ(worker.stats().reconnects, 1u);
+  EXPECT_EQ(manager.lease_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

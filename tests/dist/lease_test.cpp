@@ -5,6 +5,9 @@
 #include <thread>
 #include <vector>
 
+#include "dist/coordinator.h"
+#include "dist/protocol.h"
+#include "dist/tcp_transport.h"
 #include "hash/md5.h"
 #include "service/job_manager.h"
 
@@ -330,3 +333,134 @@ TEST(Lease, WireSpecCarriesCurrentTargetsAndRecoveries) {
 
 }  // namespace
 }  // namespace gks::service
+
+// ---------------------------------------------------------------------------
+// The coordinator's per-session reply cache (protocol.h, "Request ids"),
+// driven by a raw protocol client over loopback TCP.
+
+namespace gks::dist {
+namespace {
+
+class ReplyCache : public ::testing::Test {
+ protected:
+  ReplyCache() : coordinator_(manager_, tcp_) {
+    job_ = manager_.submit(service::md5_job("a", "dog"));
+    coordinator_.start("127.0.0.1:0");
+    conn_ = tcp_.connect(coordinator_.address(), 5.0);
+  }
+  ~ReplyCache() override {
+    conn_->close();
+    coordinator_.stop();
+  }
+
+  /// Sends `body` under `rid` (0: none) and returns the next reply.
+  std::string call(const std::string& body, std::uint64_t rid) {
+    conn_->send(stamp_rid(body, rid));
+    auto reply = conn_->recv(5.0);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or("");
+  }
+
+  /// Retires `grant` in full.
+  std::string retire(const LeaseGrantWire& grant, std::uint64_t rid) {
+    RetireMsg retire;
+    retire.lease_id = grant.lease_id;
+    retire.tested = grant.end - grant.begin;
+    return call(encode(retire), rid);
+  }
+
+  WorkerHealthWire health() const {
+    for (const WorkerHealthWire& w : coordinator_.worker_health()) {
+      if (w.name == "w1") return w;
+    }
+    ADD_FAILURE() << "no health entry for w1";
+    return {};
+  }
+
+  /// Asks for the smallest lease, so the job has room for several.
+  static std::string lease_req() {
+    LeaseRequestMsg m;
+    m.max_ids = u128(4096);
+    return encode(m);
+  }
+
+  static HelloMsg hello() {
+    HelloMsg m;
+    m.name = "w1";
+    return m;
+  }
+
+  static service::JobServiceConfig config() {
+    service::JobServiceConfig c;
+    c.local_scan = false;
+    return c;
+  }
+
+  service::JobManager manager_{config()};
+  TcpTransport tcp_;
+  Coordinator coordinator_;
+  service::JobId job_ = 0;
+  std::unique_ptr<Connection> conn_;
+};
+
+TEST_F(ReplyCache, RepeatedRidGetsTheSameBytesAndOneLease) {
+  const std::string welcome = call(encode(hello()), 1);
+  EXPECT_EQ(call(encode(hello()), 1), welcome);  // one session, one holder
+  EXPECT_EQ(request_id(json::parse(welcome)), 1u);
+
+  const std::string lease = call(lease_req(), 2);
+  ASSERT_EQ(message_type(json::parse(lease)), "lease");
+  EXPECT_EQ(request_id(json::parse(lease)), 2u);
+  EXPECT_EQ(call(lease_req(), 2), lease);
+  EXPECT_EQ(call(lease_req(), 2), lease);
+  EXPECT_EQ(manager_.lease_count(), 1u);
+  EXPECT_EQ(coordinator_.stats().leases_granted, 1u);
+}
+
+TEST_F(ReplyCache, RepeatedRetireRetiresOnceWithoutALateRetireStrike) {
+  call(encode(hello()), 1);
+  const LeaseGrantWire grant =
+      lease_grant_from_json(json::parse(call(lease_req(), 2)));
+  const std::string ack = retire(grant, 3);
+  EXPECT_TRUE(ack_from_json(json::parse(ack)).ok);
+  EXPECT_EQ(retire(grant, 3), ack);
+
+  EXPECT_EQ(coordinator_.stats().leases_retired, 1u);
+  EXPECT_EQ(manager_.status(job_).intervals_retired, 1u);
+  EXPECT_EQ(health().late_retires, 0u);
+  EXPECT_EQ(health().retires_ok, 1u);
+  EXPECT_EQ(health().strikes, 0u);
+}
+
+TEST_F(ReplyCache, OlderRidGetsNoReply) {
+  call(encode(hello()), 1);
+  call(encode(HeartbeatMsg{}), 2);
+  conn_->send(stamp_rid(lease_req(), 1));  // stale: dropped
+  // The next reply on the wire answers rid 3: rid 1 drew nothing, and
+  // granted nothing.
+  EXPECT_EQ(request_id(json::parse(call(encode(HeartbeatMsg{}), 3))), 3u);
+  EXPECT_FALSE(conn_->recv(0.2).has_value());
+  EXPECT_EQ(manager_.lease_count(), 0u);
+}
+
+TEST_F(ReplyCache, RequestsWithoutRidAreHandledAsBefore) {
+  const std::string welcome = call(encode(hello()), 0);
+  EXPECT_EQ(request_id(json::parse(welcome)), 0u);
+  EXPECT_EQ(welcome.find("\"rid\""), std::string::npos);
+
+  // Each copy is a new request: two leases, and the second retire of
+  // one lease is a late retire.
+  const LeaseGrantWire first =
+      lease_grant_from_json(json::parse(call(lease_req(), 0)));
+  const LeaseGrantWire second =
+      lease_grant_from_json(json::parse(call(lease_req(), 0)));
+  EXPECT_NE(first.lease_id, second.lease_id);
+  EXPECT_EQ(manager_.lease_count(), 2u);
+
+  EXPECT_TRUE(ack_from_json(json::parse(retire(first, 0))).ok);
+  EXPECT_FALSE(ack_from_json(json::parse(retire(first, 0))).ok);
+  EXPECT_EQ(health().late_retires, 1u);
+}
+
+}  // namespace
+}  // namespace gks::dist

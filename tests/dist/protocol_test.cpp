@@ -31,6 +31,37 @@ TEST(Protocol, MessageTypeRequiresTypeField) {
   EXPECT_THROW(message_type(json::parse("{\"x\":1}")), Error);
 }
 
+TEST(Protocol, RequestIdRoundTripsThroughTheStamp) {
+  const std::string body = encode(HeartbeatMsg{});
+  EXPECT_EQ(stamp_rid(body, 0), body);  // rid 0: no id on the wire
+  EXPECT_EQ(request_id(json::parse(body)), 0u);
+
+  const json::Value v = json::parse(stamp_rid(body, 42));
+  EXPECT_EQ(message_type(v), "heartbeat");
+  EXPECT_EQ(request_id(v), 42u);
+
+  // The stamp leaves every other member of the message intact.
+  LeaseGrantWire m;
+  m.lease_id = 9;
+  m.job_name = "wire";
+  m.end = u128(1) << 70;
+  m.dead = {{"other", "00ff", "k", 41}};
+  const json::Value grant = json::parse(stamp_rid(encode(m), (1ULL << 52) + 1));
+  EXPECT_EQ(request_id(grant), (1ULL << 52) + 1);
+  const LeaseGrantWire back = lease_grant_from_json(grant);
+  EXPECT_EQ(back.lease_id, 9u);
+  EXPECT_EQ(back.end, m.end);
+  ASSERT_EQ(back.dead.size(), 1u);
+  EXPECT_EQ(back.dead[0].job_id, 41u);
+
+  for (const char* bad : {R"({"type":"ack","rid":-1})",
+                          R"({"type":"ack","rid":1.5})",
+                          R"({"type":"ack","rid":"3"})",
+                          R"({"type":"ack","rid":1e300})"}) {
+    EXPECT_THROW(request_id(json::parse(bad)), Error) << bad;
+  }
+}
+
 TEST(Protocol, HelloRoundTrips) {
   HelloMsg m;
   m.name = "worker-7";

@@ -206,7 +206,7 @@ void render(const dist::StatusRespMsg& status,
 
   TablePrinter table;
   table.header({"worker", "state", "age", "keys/s", "lease p50", "lease p99",
-                "rtt p50", "rtt p99", "done", "lost", "reconn"});
+                "rtt p50", "rtt p99", "done", "lost", "retx", "reconn"});
   for (const dist::WorkerMetricsWire& w : metrics.workers) {
     std::string state = "?";
     for (const dist::WorkerHealthWire& h : status.workers) {
@@ -227,6 +227,7 @@ void render(const dist::StatusRespMsg& status,
                    s.counter_or("gks_worker_leases_completed_total")),
                std::to_string(
                    s.counter_or("gks_worker_leases_abandoned_total")),
+               std::to_string(s.counter_or("gks_worker_retransmits_total")),
                std::to_string(s.counter_or("gks_worker_reconnects_total"))});
   }
   if (metrics.workers.empty()) {

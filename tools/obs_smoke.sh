@@ -95,7 +95,8 @@ FAMILIES=$(grep -c '^# TYPE ' scrape.txt)
 # One family per layer proves the instrumentation spans the stack.
 for metric in gks_sweep_keys_total gks_kernel_calibrations_total \
               gks_lease_granted_total gks_journal_records_total \
-              gks_coord_sessions_total gks_worker_rtt_seconds_bucket; do
+              gks_coord_sessions_total gks_worker_rtt_seconds_bucket \
+              gks_worker_retransmits_total; do
   grep -q "^$metric" scrape.txt || fail "no $metric series in the scrape"
 done
 
