@@ -38,7 +38,7 @@ MultiCrackResult multi_crack(const MultiCrackRequest& request,
   Stopwatch timer;
 
   // The sweep engine owns target parsing/dedup, the calibrated
-  // scalar-vs-lane choice, and the per-(length, tail) context caches;
+  // scalar-vs-lane choice, and the per-(length, tail) context cache;
   // this function is just the whole-space dispatch loop over it (the
   // job service drives the same engine one scheduler quantum at a
   // time — see src/service/).
@@ -52,7 +52,6 @@ MultiCrackResult multi_crack(const MultiCrackRequest& request,
   MultiCrackResult result;
   while (!cursor.exhausted() && !sweeper.all_found()) {
     const keyspace::Interval round = cursor.take(slice);
-    sweeper.prepare(round, pool);
     const auto parts = static_cast<std::size_t>(std::min<std::uint64_t>(
         static_cast<std::uint64_t>(round.size().to_double() / 4096) + 1,
         pool.size()));

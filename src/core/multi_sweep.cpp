@@ -1,8 +1,8 @@
 #include "core/multi_sweep.h"
 
 #include <algorithm>
-#include <set>
-#include <type_traits>
+#include <map>
+#include <variant>
 
 #include "hash/kernel_words.h"
 #include "hash/md5.h"
@@ -34,11 +34,79 @@ struct MultiSweeper::Parsed {
   std::size_t unique_count() const { return request_slots.size(); }
 };
 
+namespace {
+
+/// The fast-path contexts of one snapshot, keyed by (key length, fixed
+/// tail): one sorted TargetIndex per tail, shared by every scan on that
+/// tail. Entries are immutable; a scan holds its own shared_ptr, so
+/// eviction never frees a context still in use. Past
+/// kCachedContexts entries the least recently used idle ones go.
+class ContextCache {
+ public:
+  using Key = std::pair<std::size_t, std::string>;
+
+  /// The cached context for `key`, or build()'s. Builds run outside
+  /// the lock; when two scans race on one tail, the loser's build is
+  /// dropped — rare (once per tail per snapshot) and cheaper than
+  /// serializing every build behind the lock.
+  template <class Ctx, class Build>
+  std::shared_ptr<const Ctx> get(const Key& key, const Build& build) {
+    {
+      std::lock_guard lock(mu_);
+      const auto it = entries_.find(key);
+      if (it != entries_.end()) {
+        it->second.last_use = ++uses_;
+        return std::get<std::shared_ptr<const Ctx>>(it->second.ctx);
+      }
+    }
+    std::shared_ptr<const Ctx> fresh = build();
+    std::lock_guard lock(mu_);
+    const auto [it, inserted] = entries_.try_emplace(key, Entry{fresh, 0});
+    it->second.last_use = ++uses_;
+    if (inserted) evict_idle();
+    return std::get<std::shared_ptr<const Ctx>>(it->second.ctx);
+  }
+
+ private:
+  struct Entry {
+    std::variant<std::shared_ptr<const hash::Md5MultiContext>,
+                 std::shared_ptr<const hash::Sha1MultiContext>>
+        ctx;
+    std::uint64_t last_use;
+  };
+
+  /// Drops least recently used entries no scan holds (mu_ held). Only
+  /// the cache can hand out new references, and it does so under mu_,
+  /// so a use count of 1 here stays 1.
+  void evict_idle() {
+    while (entries_.size() > MultiSweeper::kCachedContexts) {
+      auto victim = entries_.end();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        const bool idle = std::visit(
+            [](const auto& ctx) { return ctx.use_count() == 1; },
+            it->second.ctx);
+        if (idle && (victim == entries_.end() ||
+                     it->second.last_use < victim->second.last_use)) {
+          victim = it;
+        }
+      }
+      if (victim == entries_.end()) return;  // every entry is in use
+      entries_.erase(victim);
+    }
+  }
+
+  std::mutex mu_;
+  std::uint64_t uses_ = 0;
+  std::map<Key, Entry> entries_;
+};
+
+}  // namespace
+
 /// An immutable view of the target set plus the fast-path contexts
 /// built for it. Scans pin one snapshot for their whole interval.
 /// Context slot numbers equal unique-digest indices: the digest
 /// vectors keep holes for dead targets, and `retired` lists the slots
-/// already detached from the contexts' TargetIndexes. Recoveries and
+/// the contexts leave out of their TargetIndexes. Recoveries and
 /// removals never touch a published snapshot — they flip sweeper-side
 /// flags — so snapshots stay truly immutable and mark_found is O(1).
 struct MultiSweeper::Snapshot {
@@ -48,25 +116,15 @@ struct MultiSweeper::Snapshot {
   /// live[u] == 0 skips u on the generic (non-fast-path) scan; the
   /// fast path relies on `retired` instead.
   std::vector<std::uint8_t> live;
-  /// Unique indices retired from the context indexes, ascending.
+  /// Unique indices left out of the context indexes, ascending.
   std::vector<std::uint32_t> retired;
-
-  /// Fast-path contexts keyed by (key length, fixed tail), built on
-  /// demand under the lock — one sorted TargetIndex per tail, shared
-  /// by every worker that scans chunks with that tail.
-  mutable std::shared_mutex mu;
-  mutable std::map<std::pair<std::size_t, std::string>,
-                   std::unique_ptr<hash::Md5MultiContext>>
-      md5_ctx;
-  mutable std::map<std::pair<std::size_t, std::string>,
-                   std::unique_ptr<hash::Sha1MultiContext>>
-      sha1_ctx;
+  mutable ContextCache contexts;
 };
 
 namespace {
 
 /// How many dead slots must pile up since the last published snapshot
-/// before compaction clones the contexts without them. Keeps the
+/// before compaction rebuilds the snapshot without them. Keeps the
 /// amortized mark_found cost flat while bounding the dead weight
 /// scanned to at most half a context.
 constexpr std::size_t kCompactMin = 256;
@@ -168,19 +226,6 @@ void for_each_chunk(const MultiCrackRequest& request,
   }
 }
 
-/// Builds one fast-path context: full unique-digest vector (slot ==
-/// unique index), then detaches the retired slots from its index.
-template <class Ctx, class Targets>
-std::unique_ptr<Ctx> make_context(const Targets& targets,
-                                  const std::vector<std::uint32_t>& retired,
-                                  const std::string& tail,
-                                  std::size_t total_len,
-                                  const hash::TargetIndex::Config& cfg) {
-  auto ctx = std::make_unique<Ctx>(targets, tail, total_len, cfg);
-  if (!retired.empty()) ctx->retire_slots(retired);
-  return ctx;
-}
-
 /// Picks the fast-path engine — scalar multi scan or one of the lane
 /// widths — by timing each over a short probe of the request's own
 /// keyspace. Returns nullptr for the scalar engine (also when lane
@@ -260,27 +305,6 @@ const hash::simd::ScanKernels* calibrate_multi_kernels(
     }
   }
   return winner;
-}
-
-/// Looks up (or builds) the fast-path context for one (length, tail)
-/// in a snapshot's cache. Builds happen outside the exclusive lock;
-/// when two workers race on the same tail, the loser's build is
-/// discarded — rare (once per tail per snapshot) and cheaper than
-/// serializing every build behind the lock.
-template <class CtxMap, class Builder>
-const typename CtxMap::mapped_type::element_type& snapshot_context(
-    std::shared_mutex& mu, CtxMap& cache,
-    const std::pair<std::size_t, std::string>& key, const Builder& build) {
-  {
-    std::shared_lock lock(mu);
-    const auto it = cache.find(key);
-    if (it != cache.end() && it->second != nullptr) return *it->second;
-  }
-  auto fresh = build();
-  std::unique_lock lock(mu);
-  auto& slot = cache[key];
-  if (slot == nullptr) slot = std::move(fresh);
-  return *slot;
 }
 
 }  // namespace
@@ -432,29 +456,42 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
 
           const std::uint64_t n = count.to_u64();
           std::vector<hash::MultiHit> found;
+          // Contexts are built from the snapshot's digests minus its
+          // retired slots; counting the builds makes the cache's bound
+          // observable.
+          const auto note_build = [&] {
+            context_builds_.fetch_add(1, std::memory_order_relaxed);
+            if (observed) {
+              static obs::Counter& builds = obs::Registry::global().counter(
+                  "gks_sweep_context_builds_total");
+              builds.add(1);
+            }
+          };
           if (request_.algorithm == hash::Algorithm::kMd5) {
-            const auto& multi = snapshot_context(
-                snap->mu, snap->md5_ctx, cache_key, [&] {
-                  return make_context<hash::Md5MultiContext>(
-                      snap->md5, snap->retired, cache_key.second, total_len,
-                      index_config());
+            const auto multi = snap->contexts.get<hash::Md5MultiContext>(
+                cache_key, [&] {
+                  note_build();
+                  return std::make_shared<const hash::Md5MultiContext>(
+                      snap->md5, cache_key.second, total_len, index_config(),
+                      snap->retired);
                 });
             if (kernels_ != nullptr) {
-              kernels_->md5_multi_scan(multi, it, n, found);
+              kernels_->md5_multi_scan(*multi, it, n, found);
             } else {
-              hash::md5_multi_scan_prefixes(multi, it, n, found);
+              hash::md5_multi_scan_prefixes(*multi, it, n, found);
             }
           } else {
-            const auto& multi = snapshot_context(
-                snap->mu, snap->sha1_ctx, cache_key, [&] {
-                  return make_context<hash::Sha1MultiContext>(
-                      snap->sha1, snap->retired, cache_key.second, total_len,
-                      index_config());
+            const auto multi = snap->contexts.get<hash::Sha1MultiContext>(
+                cache_key, [&] {
+                  note_build();
+                  return std::make_shared<const hash::Sha1MultiContext>(
+                      snap->sha1, cache_key.second, total_len, index_config(),
+                      snap->retired);
                 });
             if (kernels_ != nullptr) {
-              kernels_->sha1_multi_scan(multi, it, n, found);
+              kernels_->sha1_multi_scan(*multi, it, n, found);
             } else {
-              hash::sha1_multi_scan_prefixes(multi, it, n, found);
+              hash::sha1_multi_scan_prefixes(*multi, it, n, found);
             }
           }
           // Context slots ARE unique indices; targets found or removed
@@ -510,95 +547,14 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
   return tested;
 }
 
-void MultiSweeper::prepare(const keyspace::Interval& round,
-                           ThreadPool& pool) {
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  if (all_found()) return;
-
-  std::set<std::pair<std::size_t, std::string>> needed;
-  for_each_chunk(request_, codec_, offset_, round,
-                 [&](u128 /*id*/, u128 /*count*/, const std::string& key) {
-                   if (fast_path_applicable(request_, key.size())) {
-                     needed.emplace(key.size(),
-                                    chunk_tail(request_, key));
-                   }
-                   return true;
-                 });
-
-  const auto sync = [&](auto& cache, const auto& targets) {
-    std::unique_lock lock(snap->mu);
-    // Entries the round does not touch are evicted first, keeping
-    // memory bounded by one round's tail count when the tail space is
-    // genuinely large; a fixed-length sweep cycles through the same
-    // tails every round and finds everything already built.
-    std::erase_if(cache,
-                  [&](const auto& e) { return needed.count(e.first) == 0; });
-    std::vector<typename std::decay_t<decltype(cache)>::iterator> fresh;
-    for (const auto& k : needed) {
-      const auto [it, inserted] = cache.emplace(k, nullptr);
-      if (inserted) fresh.push_back(it);
-    }
-    lock.unlock();
-    // Distinct map elements are written concurrently — safe, and the
-    // sort behind each TargetIndex is exactly the work worth fanning
-    // out at audit-scale target counts.
-    pool.parallel_for(fresh.size(), [&](std::size_t i) {
-      const auto& [key_len, tail] = fresh[i]->first;
-      using Ctx =
-          typename std::decay_t<decltype(cache)>::mapped_type::element_type;
-      fresh[i]->second = make_context<Ctx>(
-          targets, snap->retired, tail,
-          key_len + request_.salt.extra_length(), index_config());
-    });
-  };
-  if (request_.algorithm == hash::Algorithm::kMd5) {
-    sync(snap->md5_ctx, snap->md5);
-  } else {
-    sync(snap->sha1_ctx, snap->sha1);
-  }
-}
-
 void MultiSweeper::maybe_compact_locked() {
   const std::size_t already_retired = snap_->retired.size();
   const std::size_t newly_dead = dead_count_ - already_retired;
   const std::size_t in_index = parsed_->unique_count() - already_retired;
   if (newly_dead < kCompactMin || newly_dead * 2 < in_index) return;
 
-  const auto gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  auto next = std::make_shared<Snapshot>();
-  next->generation = gen;
-  next->md5 = parsed_->md5;
-  next->sha1 = parsed_->sha1;
-  next->live.assign(parsed_->unique_count(), 1);
-  std::vector<std::uint32_t> newly_retired;
-  for (std::size_t u = 0; u < parsed_->unique_count(); ++u) {
-    if (unique_found_[u] || unique_removed_[u]) {
-      next->live[u] = 0;
-      next->retired.push_back(static_cast<std::uint32_t>(u));
-    }
-  }
-  std::set_difference(next->retired.begin(), next->retired.end(),
-                      snap_->retired.begin(), snap_->retired.end(),
-                      std::back_inserter(newly_retired));
-
-  // Carry the built contexts over, minus the newly dead slots — an
-  // O(live) clone instead of the full revert+sort rebuild.
-  {
-    std::shared_lock lock(snap_->mu);
-    for (const auto& [key, ctx] : snap_->md5_ctx) {
-      if (ctx == nullptr) continue;
-      auto clone = std::make_unique<hash::Md5MultiContext>(*ctx);
-      clone->retire_slots(newly_retired);
-      next->md5_ctx.emplace(key, std::move(clone));
-    }
-    for (const auto& [key, ctx] : snap_->sha1_ctx) {
-      if (ctx == nullptr) continue;
-      auto clone = std::make_unique<hash::Sha1MultiContext>(*ctx);
-      clone->retire_slots(newly_retired);
-      next->sha1_ctx.emplace(key, std::move(clone));
-    }
-  }
-  snap_ = std::move(next);
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  snap_ = build_snapshot_locked();
 }
 
 std::vector<std::size_t> MultiSweeper::mark_found(std::size_t unique_index,
@@ -658,8 +614,7 @@ TargetAddOutcome MultiSweeper::add_targets(
 
   std::lock_guard lock(state_mu_);
   const std::size_t first_new_unique = parsed_->unique_count();
-  bool need_full_rebuild = false;
-  bool reattached = false;
+  bool republish = false;
   for (const std::string& hex : hexes) {
     const std::size_t slot = request_.target_hexes.size();
     std::size_t u;
@@ -688,6 +643,7 @@ TargetAddOutcome MultiSweeper::add_targets(
 
     if (u >= first_new_unique) {
       // Genuinely new digest (first occurrence in this batch).
+      republish = true;
       if (u >= unique_found_.size()) {
         unique_found_.push_back(false);
         unique_removed_.push_back(false);
@@ -702,68 +658,26 @@ TargetAddOutcome MultiSweeper::add_targets(
       --dead_count_;
       outstanding_count_.fetch_add(1, std::memory_order_acq_rel);
       ++out.attached;
-      reattached = true;
       // A re-attached digest that the current snapshot's contexts
-      // already retired needs a from-scratch index.
+      // leave out needs a fresh snapshot.
       if (std::binary_search(snap_->retired.begin(), snap_->retired.end(),
                              static_cast<std::uint32_t>(u))) {
-        need_full_rebuild = true;
+        republish = true;
       }
     }
     // else: still outstanding — the new slot shares its fate.
   }
 
-  const std::size_t new_uniques = parsed_->unique_count() - first_new_unique;
-  if (new_uniques == 0 && !need_full_rebuild) {
+  if (!republish) {
     // Dup-of-outstanding or reattach-before-retirement: every published
     // context still indexes the digest, so the current generation keeps
     // scanning correctly. Found/removed flags already updated.
-    (void)reattached;
     return out;
   }
-
-  const auto gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (need_full_rebuild) {
-    // build_snapshot_locked reads generation_ — already bumped.
-    snap_ = build_snapshot_locked();
-    return out;
-  }
-
-  // Incremental publish: clone the cached contexts and extend them
-  // with the new digests — the appended slots continue the unique
-  // numbering, so no context rebuild and no renumbering.
-  auto next = std::make_shared<Snapshot>();
-  next->generation = gen;
-  next->md5 = parsed_->md5;
-  next->sha1 = parsed_->sha1;
-  next->live.assign(parsed_->unique_count(), 1);
-  for (std::size_t u = 0; u < parsed_->unique_count(); ++u) {
-    if (unique_found_[u] || unique_removed_[u]) next->live[u] = 0;
-  }
-  next->retired = snap_->retired;
-  {
-    std::shared_lock lock(snap_->mu);
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      const std::span<const hash::Md5Digest> fresh(
-          parsed_->md5.data() + first_new_unique, new_uniques);
-      for (const auto& [key, ctx] : snap_->md5_ctx) {
-        if (ctx == nullptr) continue;
-        auto clone = std::make_unique<hash::Md5MultiContext>(*ctx);
-        clone->add_targets(fresh);
-        next->md5_ctx.emplace(key, std::move(clone));
-      }
-    } else {
-      const std::span<const hash::Sha1Digest> fresh(
-          parsed_->sha1.data() + first_new_unique, new_uniques);
-      for (const auto& [key, ctx] : snap_->sha1_ctx) {
-        if (ctx == nullptr) continue;
-        auto clone = std::make_unique<hash::Sha1MultiContext>(*ctx);
-        clone->add_targets(fresh);
-        next->sha1_ctx.emplace(key, std::move(clone));
-      }
-    }
-  }
-  snap_ = std::move(next);
+  // build_snapshot_locked reads the bumped generation; the fresh
+  // snapshot's contexts are built on demand.
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  snap_ = build_snapshot_locked();
   return out;
 }
 
@@ -802,6 +716,7 @@ SweepFilterStats MultiSweeper::filter_stats() const {
   s.gate_hits = index_stats_.gate_hits.load(std::memory_order_relaxed);
   s.false_positives =
       index_stats_.false_positives.load(std::memory_order_relaxed);
+  s.context_builds = context_builds_.load(std::memory_order_relaxed);
   return s;
 }
 

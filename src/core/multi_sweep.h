@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "hash/simd/dispatch.h"
 #include "keyspace/codec.h"
 #include "keyspace/interval.h"
-#include "support/thread_pool.h"
 #include "support/uint128.h"
 
 namespace gks::core {
@@ -32,10 +29,12 @@ struct SweepHit {
 };
 
 /// Aggregate TargetIndex gate traffic across every context the sweeper
-/// built (see hash::TargetIndexStats for the two counters' meaning).
+/// built (see hash::TargetIndexStats for the two counters' meaning),
+/// and how many per-tail contexts it built.
 struct SweepFilterStats {
   std::uint64_t gate_hits = 0;
   std::uint64_t false_positives = 0;
+  std::uint64_t context_builds = 0;
 };
 
 /// What one add_targets() call did.
@@ -71,17 +70,17 @@ struct TargetAddOutcome {
 ///
 /// Thread model: scan() is const and safe to call concurrently from
 /// many workers — each call pins an immutable snapshot of the target
-/// set (per-snapshot fast-path context caches are built on demand
-/// under a shared_mutex). Context slot numbers ARE unique-digest
+/// set. The snapshot's per-(length, tail) fast-path contexts are
+/// immutable too: built on demand from the snapshot's digests minus
+/// its dead slots, shared through one bounded cache, and held by each
+/// scan that uses them. Context slot numbers ARE unique-digest
 /// indices: recoveries and removals only flip flags and never renumber
 /// or rebuild contexts, so mark_found costs O(1) even at millions of
 /// targets. Once enough targets are dead the sweeper compacts — it
-/// clones the cached contexts minus the dead slots and publishes them
-/// as a new generation. Scans still on an old snapshot at worst
-/// re-report an already-found (or removed) digest, which mark_found
-/// filters. prepare() is the one exception: it prunes cache entries,
-/// so it must not overlap scan() calls (multi_crack alternates
-/// prepare/scan phases; the job service never calls it).
+/// publishes a fresh snapshot, with an empty cache, that leaves the
+/// dead slots out — as does an add_targets that brings a new digest.
+/// Scans still on an old snapshot at worst re-report an already-found
+/// (or removed) digest, which mark_found filters.
 class MultiSweeper {
  public:
   /// Validates the request and parses the targets. Does not calibrate:
@@ -91,6 +90,19 @@ class MultiSweeper {
 
   MultiSweeper(const MultiSweeper&) = delete;
   MultiSweeper& operator=(const MultiSweeper&) = delete;
+
+  /// Most per-tail contexts a snapshot keeps cached; past it the least
+  /// recently used idle ones are evicted (contexts scans still hold may
+  /// exceed it until released). Ids are tail-major, so a sweep walks
+  /// the tails in order and the concurrent scans of one sweep sit on a
+  /// few adjacent tails: a tail is revisited only while scans are still
+  /// on it or on a remainder re-dispatched after a yield. Eight covers
+  /// that working set for several scanning threads, and caps the cache
+  /// at 8 × ~30 MiB at a million targets instead of one context per
+  /// tail of the space (26 at 26^5, 676 at 26^6). A rebuild is cheap
+  /// next to the scan it serves: ~25 µs at 1024 targets against ~7 ms
+  /// for a 26^4-key tail block.
+  static constexpr std::size_t kCachedContexts = 8;
 
   /// The request as submitted plus any hexes appended by add_targets.
   /// Not safe to read concurrently with add_targets — prefer
@@ -126,12 +138,6 @@ class MultiSweeper {
   u128 scan(const keyspace::Interval& interval, std::vector<SweepHit>& hits,
             const std::atomic<bool>* interrupt = nullptr) const;
 
-  /// Prebuilds the fast-path contexts `round` touches, in parallel on
-  /// the pool, and evicts entries the round no longer needs. Purely a
-  /// throughput optimization for phase-structured callers; must not
-  /// run concurrently with scan().
-  void prepare(const keyspace::Interval& round, ThreadPool& pool);
-
   /// Marks a unique digest recovered. Returns the request-slot indices
   /// this recovery resolves — empty if it was already recorded
   /// (duplicate hit from a stale snapshot) or the digest was removed,
@@ -151,8 +157,8 @@ class MultiSweeper {
   /// Attaches more target hashes to the live sweep. Duplicates of
   /// existing targets share their unique digest (and resolve instantly
   /// when it was already recovered); digests removed earlier are
-  /// re-attached; genuinely new digests extend the unique set and the
-  /// published contexts. Throws InvalidArgument on malformed hexes
+  /// re-attached; genuinely new digests extend the unique set and
+  /// publish a new snapshot. Throws InvalidArgument on malformed hexes
   /// before any state changes. Thread-safe.
   TargetAddOutcome add_targets(const std::vector<std::string>& hexes);
 
@@ -174,7 +180,8 @@ class MultiSweeper {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Aggregate gate traffic so far (all contexts, all generations).
+  /// Aggregate gate traffic and context builds so far (all contexts,
+  /// all generations).
   SweepFilterStats filter_stats() const;
 
   /// Digest hex and recovery state per request slot; used to fill
@@ -199,10 +206,10 @@ class MultiSweeper {
   hash::TargetIndex::Config index_config() const;
   std::shared_ptr<const Snapshot> snapshot() const;
   /// Full snapshot rebuild (state_mu_ held): every dead unique is
-  /// retired from the context indexes, caches start empty.
+  /// left out of the context indexes, the context cache starts empty.
   std::shared_ptr<const Snapshot> build_snapshot_locked() const;
-  /// Publishes a compacted clone of the current snapshot when enough
-  /// dead slots accumulated since the last one (state_mu_ held).
+  /// Publishes a fresh snapshot without the dead slots when enough of
+  /// them accumulated since the last one (state_mu_ held).
   void maybe_compact_locked();
 
   MultiCrackRequest request_;
@@ -214,6 +221,7 @@ class MultiSweeper {
   mutable std::once_flag calibrate_once_;
   mutable const hash::simd::ScanKernels* kernels_ = nullptr;
   mutable hash::TargetIndexStats index_stats_;
+  mutable std::atomic<std::uint64_t> context_builds_{0};
 
   mutable std::mutex state_mu_;  ///< guards found/removed state + snapshot
   std::vector<bool> unique_found_;

@@ -67,31 +67,24 @@ std::vector<std::uint32_t> sha1_index_words(
   return words;
 }
 
-}  // namespace
-
-Md5MultiContext::Md5MultiContext(std::vector<Md5Digest> targets,
-                                 std::string_view tail, std::size_t total_len,
-                                 const TargetIndex::Config& index_config)
-    : targets_(std::move(targets)), m_(fixed_md5_words(tail, total_len)) {
-  GKS_REQUIRE(!targets_.empty(), "need at least one target digest");
-  revert_from(0);
-  index_ = TargetIndex(md5_index_words(reverted_), index_config);
-}
-
-void Md5MultiContext::revert_from(std::size_t begin) {
-  reverted_.resize(targets_.size());
+/// Runs every target back through MD5 steps 63..49 under the fixed
+/// message words.
+std::vector<Md5State<std::uint32_t>> revert_md5(
+    const std::vector<Md5Digest>& targets,
+    const std::array<std::uint32_t, 16>& m) {
+  std::vector<Md5State<std::uint32_t>> reverted(targets.size());
   // Every target shares the fixed message words, so the 15-step
   // reversals never diverge — revert four digests in lockstep per
   // vector pass. This is the dominant cost of building a large batch's
   // per-tail context.
   using V = simd::LaneVec<4>;
   std::array<V, 16> mv;
-  for (std::size_t w = 0; w < 16; ++w) mv[w] = V(m_[w]);
-  std::size_t i = begin;
-  for (; i + 4 <= targets_.size(); i += 4) {
+  for (std::size_t w = 0; w < 16; ++w) mv[w] = V(m[w]);
+  std::size_t i = 0;
+  for (; i + 4 <= targets.size(); i += 4) {
     Md5State<V> s{};
     for (std::size_t l = 0; l < 4; ++l) {
-      const std::uint8_t* p = targets_[i + l].bytes.data();
+      const std::uint8_t* p = targets[i + l].bytes.data();
       simd::lane_set(s.a, l, load_le32(p) - kMd5Init[0]);
       simd::lane_set(s.b, l, load_le32(p + 4) - kMd5Init[1]);
       simd::lane_set(s.c, l, load_le32(p + 8) - kMd5Init[2]);
@@ -99,38 +92,47 @@ void Md5MultiContext::revert_from(std::size_t begin) {
     }
     md5_reverse_steps(s, mv, 49);
     for (std::size_t l = 0; l < 4; ++l) {
-      reverted_[i + l] = {simd::lane_get(s.a, l), simd::lane_get(s.b, l),
-                          simd::lane_get(s.c, l), simd::lane_get(s.d, l)};
+      reverted[i + l] = {simd::lane_get(s.a, l), simd::lane_get(s.b, l),
+                         simd::lane_get(s.c, l), simd::lane_get(s.d, l)};
     }
   }
-  for (; i < targets_.size(); ++i) {
-    const std::uint8_t* p = targets_[i].bytes.data();
+  for (; i < targets.size(); ++i) {
+    const std::uint8_t* p = targets[i].bytes.data();
     Md5State<std::uint32_t> s{load_le32(p) - kMd5Init[0],
                               load_le32(p + 4) - kMd5Init[1],
                               load_le32(p + 8) - kMd5Init[2],
                               load_le32(p + 12) - kMd5Init[3]};
-    md5_reverse_steps(s, m_, 49);
-    reverted_[i] = s;
+    md5_reverse_steps(s, m, 49);
+    reverted[i] = s;
   }
+  return reverted;
 }
 
-void Md5MultiContext::add_targets(std::span<const Md5Digest> more) {
-  if (more.empty()) return;
-  const std::size_t begin = targets_.size();
-  targets_.insert(targets_.end(), more.begin(), more.end());
-  revert_from(begin);
-  std::vector<std::uint32_t> words;
-  words.reserve(more.size());
-  for (std::size_t i = begin; i < reverted_.size(); ++i) {
-    words.push_back(reverted_[i].a);
+/// Strips the SHA1 feed-forward from every target.
+std::vector<Sha1State<std::uint32_t>> unfeed_sha1(
+    const std::vector<Sha1Digest>& targets) {
+  std::vector<Sha1State<std::uint32_t>> unfed;
+  unfed.reserve(targets.size());
+  for (const Sha1Digest& t : targets) {
+    unfed.push_back({load_be32(t.bytes.data()) - kSha1Init[0],
+                     load_be32(t.bytes.data() + 4) - kSha1Init[1],
+                     load_be32(t.bytes.data() + 8) - kSha1Init[2],
+                     load_be32(t.bytes.data() + 12) - kSha1Init[3],
+                     load_be32(t.bytes.data() + 16) - kSha1Init[4]});
   }
-  index_.add(words, static_cast<std::uint32_t>(begin));
+  return unfed;
 }
 
-void Md5MultiContext::retire_slots(std::span<const std::uint32_t> slots) {
-  // Only the index forgets the slots; targets_/reverted_ keep the
-  // holes so surviving slot numbers stay stable.
-  index_.remove(slots);
+}  // namespace
+
+Md5MultiContext::Md5MultiContext(const std::vector<Md5Digest>& targets,
+                                 std::string_view tail, std::size_t total_len,
+                                 const TargetIndex::Config& index_config,
+                                 std::span<const std::uint32_t> retired)
+    : m_(fixed_md5_words(tail, total_len)),
+      reverted_(revert_md5(targets, m_)),
+      index_(md5_index_words(reverted_), index_config, retired) {
+  GKS_REQUIRE(!targets.empty(), "need at least one target digest");
 }
 
 bool Md5MultiContext::confirm(const std::array<std::uint32_t, 16>& m,
@@ -212,42 +214,15 @@ void Md5MultiContext::confirm_hits(std::uint32_t m0,
   if (out.size() == before) index_.note_false_positive();
 }
 
-Sha1MultiContext::Sha1MultiContext(std::vector<Sha1Digest> targets,
+Sha1MultiContext::Sha1MultiContext(const std::vector<Sha1Digest>& targets,
                                    std::string_view tail,
                                    std::size_t total_len,
-                                   const TargetIndex::Config& index_config)
-    : targets_(std::move(targets)), m_(fixed_sha_words(tail, total_len)) {
-  GKS_REQUIRE(!targets_.empty(), "need at least one target digest");
-  unfed_.reserve(targets_.size());
-  for (const Sha1Digest& t : targets_) {
-    unfed_.push_back({load_be32(t.bytes.data()) - kSha1Init[0],
-                      load_be32(t.bytes.data() + 4) - kSha1Init[1],
-                      load_be32(t.bytes.data() + 8) - kSha1Init[2],
-                      load_be32(t.bytes.data() + 12) - kSha1Init[3],
-                      load_be32(t.bytes.data() + 16) - kSha1Init[4]});
-  }
-  index_ = TargetIndex(sha1_index_words(unfed_), index_config);
-}
-
-void Sha1MultiContext::add_targets(std::span<const Sha1Digest> more) {
-  if (more.empty()) return;
-  const std::size_t begin = targets_.size();
-  targets_.insert(targets_.end(), more.begin(), more.end());
-  std::vector<std::uint32_t> words;
-  words.reserve(more.size());
-  for (const Sha1Digest& t : more) {
-    unfed_.push_back({load_be32(t.bytes.data()) - kSha1Init[0],
-                      load_be32(t.bytes.data() + 4) - kSha1Init[1],
-                      load_be32(t.bytes.data() + 8) - kSha1Init[2],
-                      load_be32(t.bytes.data() + 12) - kSha1Init[3],
-                      load_be32(t.bytes.data() + 16) - kSha1Init[4]});
-    words.push_back(unfed_.back().e);
-  }
-  index_.add(words, static_cast<std::uint32_t>(begin));
-}
-
-void Sha1MultiContext::retire_slots(std::span<const std::uint32_t> slots) {
-  index_.remove(slots);
+                                   const TargetIndex::Config& index_config,
+                                   std::span<const std::uint32_t> retired)
+    : m_(fixed_sha_words(tail, total_len)),
+      unfed_(unfeed_sha1(targets)),
+      index_(sha1_index_words(unfed_), index_config, retired) {
+  GKS_REQUIRE(!targets.empty(), "need at least one target digest");
 }
 
 bool Sha1MultiContext::confirm(std::array<std::uint32_t, 16> ring,

@@ -41,18 +41,14 @@ class Md5MultiContext {
  public:
   /// All targets share the fixed tail/total_len (same key-space sweep).
   /// `index_config` selects the front-gate geometry (direct bit array
-  /// vs blocked Bloom), its false-positive rate, and the optional
-  /// shared stats sink — see TargetIndex::Config.
-  Md5MultiContext(std::vector<Md5Digest> targets, std::string_view tail,
-                  std::size_t total_len,
-                  const TargetIndex::Config& index_config = {});
-
-  /// Live mutation: appends targets (they take slots target_count()..)
-  /// or detaches slots from the index. Retired digests keep their slot
-  /// numbers — the target vector holds the hole — so hits reported by
-  /// concurrent snapshot users never renumber.
-  void add_targets(std::span<const Md5Digest> more);
-  void retire_slots(std::span<const std::uint32_t> slots);
+  /// vs blocked Bloom) and the optional shared stats sink — see
+  /// TargetIndex::Config. Slot i is targets[i]; the slots in `retired`
+  /// (ascending) are left out of the index and never reported, while
+  /// every other target keeps its slot number. Immutable once built.
+  Md5MultiContext(const std::vector<Md5Digest>& targets,
+                  std::string_view tail, std::size_t total_len,
+                  const TargetIndex::Config& index_config = {},
+                  std::span<const std::uint32_t> retired = {});
 
   /// Tests a candidate word 0; returns the lowest-numbered matching
   /// target, or npos (the overwhelmingly common case). Targets whose
@@ -78,7 +74,6 @@ class Md5MultiContext {
                     std::vector<MultiHit>& out) const;
 
   std::size_t target_count() const { return reverted_.size(); }
-  const std::vector<Md5Digest>& targets() const { return targets_; }
 
   /// Fixed message words (word 0 is a placeholder) — lane kernels.
   const std::array<std::uint32_t, 16>& message_words() const { return m_; }
@@ -91,9 +86,7 @@ class Md5MultiContext {
   bool confirm(const std::array<std::uint32_t, 16>& m,
                const Md5State<std::uint32_t>& s45, std::uint32_t t45,
                const Md5State<std::uint32_t>& reverted) const;
-  void revert_from(std::size_t begin);
 
-  std::vector<Md5Digest> targets_;
   std::array<std::uint32_t, 16> m_{};
   std::vector<Md5State<std::uint32_t>> reverted_;
   TargetIndex index_;
@@ -104,13 +97,11 @@ class Md5MultiContext {
 /// feed-forward-reverted `e` word.
 class Sha1MultiContext {
  public:
-  Sha1MultiContext(std::vector<Sha1Digest> targets, std::string_view tail,
-                   std::size_t total_len,
-                   const TargetIndex::Config& index_config = {});
-
-  /// Live mutation — same slot-stability contract as Md5MultiContext.
-  void add_targets(std::span<const Sha1Digest> more);
-  void retire_slots(std::span<const std::uint32_t> slots);
+  /// Same slot contract as Md5MultiContext.
+  Sha1MultiContext(const std::vector<Sha1Digest>& targets,
+                   std::string_view tail, std::size_t total_len,
+                   const TargetIndex::Config& index_config = {},
+                   std::span<const std::uint32_t> retired = {});
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t test(std::uint32_t w0) const;
@@ -128,7 +119,6 @@ class Sha1MultiContext {
                     std::vector<MultiHit>& out) const;
 
   std::size_t target_count() const { return unfed_.size(); }
-  const std::vector<Sha1Digest>& targets() const { return targets_; }
 
   const std::array<std::uint32_t, 16>& message_words() const { return m_; }
   const TargetIndex& index() const { return index_; }
@@ -138,7 +128,6 @@ class Sha1MultiContext {
                std::uint32_t b, std::uint32_t c, std::uint32_t d,
                std::uint32_t e, const Sha1State<std::uint32_t>& unfed) const;
 
-  std::vector<Sha1Digest> targets_;
   std::array<std::uint32_t, 16> m_{};
   std::vector<Sha1State<std::uint32_t>> unfed_;
   TargetIndex index_;

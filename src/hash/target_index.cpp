@@ -16,14 +16,12 @@ std::uint64_t next_pow2(std::uint64_t v) {
   return std::uint64_t{1} << (64 - std::countl_zero(v - 1));
 }
 
-double clamp_fpr(double fpr) { return std::clamp(fpr, 1.0 / 65536.0, 0.5); }
-
 /// Bits per key for the blocked Bloom geometry (k=2 bits in one 64-bit
 /// block), solved from p = (1 - e^(-2/b))^2  =>  b = -2/ln(1 - sqrt(p)).
 /// fpr 1/64 gives ~15.5 bits/key — a 1M-target gate in under 2 MiB,
 /// where the direct array would want 8 MiB.
-double bloom_bits_per_key(double fpr) {
-  return -2.0 / std::log(1.0 - std::sqrt(clamp_fpr(fpr)));
+double bloom_bits_per_key() {
+  return -2.0 / std::log(1.0 - std::sqrt(TargetIndex::kGateFpr));
 }
 
 /// Stable LSD radix sort of packed (word << 32 | slot) entries by the
@@ -46,28 +44,29 @@ void radix_sort_by_word(std::vector<std::uint64_t>& v) {
 
 }  // namespace
 
-TargetIndex::TargetIndex() {
-  rebuild_gate();
-  rebuild_offsets();
-}
-
 TargetIndex::TargetIndex(std::span<const std::uint32_t> words)
     : TargetIndex(words, Config()) {}
 
 TargetIndex::TargetIndex(std::span<const std::uint32_t> words,
-                         const Config& config)
+                         const Config& config,
+                         std::span<const std::uint32_t> retired)
     : config_(config) {
-  const std::size_t n = words.size();
   // Sort (word, slot) pairs packed into one uint64 so equal words keep
   // their slots ascending without a custom comparator. Large batches
   // take the radix path — comparison sorting is the dominant cost of a
   // big context build otherwise; small ones stay with std::sort, which
   // wins below the histogram overhead.
   std::vector<std::uint64_t> packed;
-  packed.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  packed.reserve(words.size());
+  auto next_retired = retired.begin();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (next_retired != retired.end() && *next_retired == i) {
+      ++next_retired;
+      continue;
+    }
     packed.push_back(static_cast<std::uint64_t>(words[i]) << 32 | i);
   }
+  const std::size_t n = packed.size();
   if (n >= 4096) {
     radix_sort_by_word(packed);
   } else {
@@ -79,26 +78,12 @@ TargetIndex::TargetIndex(std::span<const std::uint32_t> words,
     words_.push_back(static_cast<std::uint32_t>(p >> 32));
     slots_.push_back(static_cast<std::uint32_t>(p));
   }
-  rebuild_gate();
-  rebuild_offsets();
+  build_gate();
+  build_offsets();
 }
 
-void TargetIndex::set_gate_bit(std::uint32_t word) {
-  if (direct_) {
-    const std::uint32_t b = word & bucket_mask_;
-    bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  } else {
-    const std::uint64_t h = mix_word(word);
-    const auto block = static_cast<std::uint32_t>(
-        (static_cast<std::uint32_t>(h) * std::uint64_t{nblocks_}) >> 32);
-    bits_[block] |= (std::uint64_t{1} << ((h >> 32) & 63)) |
-                    (std::uint64_t{1} << ((h >> 38) & 63));
-  }
-}
-
-void TargetIndex::rebuild_gate() {
+void TargetIndex::build_gate() {
   const std::size_t n = words_.size();
-  gate_capacity_ = 2 * std::max<std::size_t>(n, 1);
   if (!config_.gate) {
     // Disabled gate: one all-ones direct block, so may_match() stays
     // the same load-and-test and simply always passes — no extra mode
@@ -108,28 +93,38 @@ void TargetIndex::rebuild_gate() {
     bits_.assign(1, ~std::uint64_t{0});
     return;
   }
-  const double fpr = clamp_fpr(config_.fpr);
   // Direct mode spends 1/fpr bits per target: a uniform foreign word
   // then lands on a set bit with probability ~fpr. The 64-bit floor
   // keeps the tiny-batch filter one whole word.
   const std::uint64_t direct_bits = next_pow2(std::max<std::uint64_t>(
-      64, static_cast<std::uint64_t>(std::ceil(static_cast<double>(n) / fpr))));
+      64, static_cast<std::uint64_t>(
+              std::ceil(static_cast<double>(n) / kGateFpr))));
   if (direct_bits <= config_.max_direct_bits) {
     direct_ = true;
     bucket_mask_ = static_cast<std::uint32_t>(direct_bits - 1);
     bits_.assign(static_cast<std::size_t>(direct_bits >> 6), 0);
-  } else {
-    direct_ = false;
-    auto blocks = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(n) * bloom_bits_per_key(fpr) / 64.0));
-    blocks = std::clamp<std::uint64_t>(blocks, 1, config_.max_filter_bytes / 8);
-    nblocks_ = static_cast<std::uint32_t>(blocks);
-    bits_.assign(nblocks_, 0);
+    for (const std::uint32_t w : words_) {
+      const std::uint32_t b = w & bucket_mask_;
+      bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    }
+    return;
   }
-  for (const std::uint32_t w : words_) set_gate_bit(w);
+  direct_ = false;
+  auto blocks = static_cast<std::uint64_t>(
+      std::ceil(static_cast<double>(n) * bloom_bits_per_key() / 64.0));
+  blocks = std::clamp<std::uint64_t>(blocks, 1, kMaxFilterBytes / 8);
+  nblocks_ = static_cast<std::uint32_t>(blocks);
+  bits_.assign(nblocks_, 0);
+  for (const std::uint32_t w : words_) {
+    const std::uint64_t h = mix_word(w);
+    const auto block = static_cast<std::uint32_t>(
+        (static_cast<std::uint32_t>(h) * std::uint64_t{nblocks_}) >> 32);
+    bits_[block] |= (std::uint64_t{1} << ((h >> 32) & 63)) |
+                    (std::uint64_t{1} << ((h >> 38) & 63));
+  }
 }
 
-void TargetIndex::rebuild_offsets() {
+void TargetIndex::build_offsets() {
   // ~1 entry per bucket in expectation, capped at 4M buckets (16 MiB of
   // offsets); past the cap a bucket holds n/2^22 entries and the
   // in-bucket lower_bound stays a handful of in-cache probes.
@@ -173,73 +168,6 @@ std::span<const std::uint32_t> TargetIndex::matches(std::uint32_t word) const {
     }
   }
   return {slots_.data() + begin, count};
-}
-
-void TargetIndex::add(std::span<const std::uint32_t> words,
-                      std::uint32_t first_slot) {
-  if (words.empty()) return;
-  const std::size_t old_n = words_.size();
-  std::vector<std::uint64_t> fresh(words.size());
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    fresh[i] = static_cast<std::uint64_t>(words[i]) << 32 |
-               (first_slot + static_cast<std::uint32_t>(i));
-  }
-  std::sort(fresh.begin(), fresh.end());
-
-  // One backward merge pass, in place: packed comparison orders by word
-  // first and slot second, which preserves the ascending-slot contract
-  // even when re-attached slots interleave with existing ones.
-  words_.resize(old_n + fresh.size());
-  slots_.resize(old_n + fresh.size());
-  std::size_t a = old_n, b = fresh.size(), out = words_.size();
-  while (b > 0) {
-    const std::uint64_t old_packed =
-        a > 0 ? static_cast<std::uint64_t>(words_[a - 1]) << 32 | slots_[a - 1]
-              : 0;
-    --out;
-    if (a > 0 && old_packed > fresh[b - 1]) {
-      --a;
-      words_[out] = static_cast<std::uint32_t>(old_packed >> 32);
-      slots_[out] = static_cast<std::uint32_t>(old_packed);
-    } else {
-      --b;
-      words_[out] = static_cast<std::uint32_t>(fresh[b] >> 32);
-      slots_[out] = static_cast<std::uint32_t>(fresh[b]);
-    }
-  }
-
-  // A gate sized for the old batch drifts above its designed rate as
-  // keys accumulate; rebuild once the set outgrows twice the size the
-  // gate was last built for, otherwise just set the new bits.
-  if (words_.size() > gate_capacity_) {
-    rebuild_gate();
-  } else if (config_.gate) {
-    for (const std::uint32_t w : words) set_gate_bit(w);
-  }
-  rebuild_offsets();
-}
-
-std::size_t TargetIndex::remove(std::span<const std::uint32_t> slots) {
-  if (slots.empty() || words_.empty()) return 0;
-  std::vector<std::uint32_t> dead(slots.begin(), slots.end());
-  std::sort(dead.begin(), dead.end());
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (std::binary_search(dead.begin(), dead.end(), slots_[i])) continue;
-    words_[out] = words_[i];
-    slots_[out] = slots_[i];
-    ++out;
-  }
-  const std::size_t removed = words_.size() - out;
-  if (removed == 0) return 0;
-  words_.resize(out);
-  slots_.resize(out);
-  // Bloom bits cannot be unset individually, so removal rebuilds the
-  // gate from the survivors — same O(n) as the compaction pass above,
-  // and it guarantees detached targets leave no ghost bits behind.
-  rebuild_gate();
-  rebuild_offsets();
-  return removed;
 }
 
 const char* TargetIndex::filter_kind() const {

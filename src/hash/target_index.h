@@ -43,9 +43,10 @@ struct TargetIndexStats {
 ///      so the gate switches to a blocked Bloom filter — the word is
 ///      mixed to 64 bits, a multiply-shift picks one 64-bit block, and
 ///      k=2 bits of that block must be set. One load either way, and
-///      the Bloom geometry holds the configured false-positive rate in
-///      ~16 bits/target instead of 64, keeping a million-target gate
-///      cache-resident (docs/multi_target.md derives the sizing).
+///      the Bloom geometry holds the design false-positive rate
+///      (kGateFpr) in ~16 bits/target instead of 64, keeping a
+///      million-target gate cache-resident (docs/multi_target.md
+///      derives the sizing).
 ///   2. a (word, slot) array sorted by word behind a prefix-offset
 ///      bucket table: the word's high bits index a bucket whose
 ///      [offset, offset) range in the sorted array is then searched.
@@ -59,23 +60,23 @@ struct TargetIndexStats {
 ///
 /// Slots are the caller's target indices (0..n-1 in construction
 /// order); duplicate words are fine and all their slots are returned,
-/// ascending. add()/remove() mutate the target set in place — the
-/// sweep engine uses them for live attach/detach without rebuilding
-/// the per-tail contexts from scratch.
+/// ascending. An index is immutable once built: the sweep engine
+/// builds a fresh one whenever its target set changes.
 class TargetIndex {
  public:
+  /// Designed gate false-positive rate. Note the floor at huge
+  /// batches: n targets occupy ~n/2^32 of the word space, so true word
+  /// matches alone pass at that rate no matter how large the filter
+  /// grows.
+  static constexpr double kGateFpr = 1.0 / 64;
+  /// Bloom filter byte cap; past it the rate degrades gracefully.
+  static constexpr std::size_t kMaxFilterBytes = std::size_t{1} << 25;
+
   struct Config {
-    /// Designed gate false-positive rate (clamped to [2^-16, 1/2]).
-    /// Note the floor at huge batches: n targets occupy ~n/2^32 of the
-    /// word space, so true word matches alone pass at that rate no
-    /// matter how large the filter grows.
-    double fpr = 1.0 / 64;
     /// Largest direct-indexed bit array (in bits) before the gate
     /// switches to the blocked Bloom filter. 2^24 bits = 2 MiB —
     /// L2-resident on the reference container.
     std::size_t max_direct_bits = std::size_t{1} << 24;
-    /// Bloom filter byte cap; past it the rate degrades gracefully.
-    std::size_t max_filter_bytes = std::size_t{1} << 25;
     /// false disables the gate entirely (every probe passes, the slot
     /// lookup does all filtering) — the ablation/differential-test
     /// switch.
@@ -84,13 +85,12 @@ class TargetIndex {
     TargetIndexStats* stats = nullptr;
   };
 
-  /// Empty index: matches nothing. Exists so contexts can build their
-  /// reverted words first and assign the index after.
-  TargetIndex();
-
-  /// words[i] is the early-exit word of target slot i.
+  /// words[i] is the early-exit word of target slot i. Slots listed in
+  /// `retired` (ascending) are left out: they are never returned and
+  /// set no gate bits, while every other slot keeps its number.
   explicit TargetIndex(std::span<const std::uint32_t> words);
-  TargetIndex(std::span<const std::uint32_t> words, const Config& config);
+  TargetIndex(std::span<const std::uint32_t> words, const Config& config,
+              std::span<const std::uint32_t> retired = {});
 
   std::size_t size() const { return slots_.size(); }
 
@@ -116,17 +116,6 @@ class TargetIndex {
   /// regardless, just slower than the gate on misses). Counts gate
   /// traffic into the configured stats sink.
   std::span<const std::uint32_t> matches(std::uint32_t word) const;
-
-  /// Appends targets: entry i becomes (words[i], first_slot + i). The
-  /// sorted array is merged in place and the gate is extended (or
-  /// rebuilt when the batch outgrows the gate's design capacity).
-  void add(std::span<const std::uint32_t> words, std::uint32_t first_slot);
-
-  /// Removes every entry whose slot is in `slots` (need not be sorted;
-  /// unknown slots are ignored). Returns the number of entries
-  /// removed. The gate is rebuilt from the surviving words — removal
-  /// never leaves ghost bits behind.
-  std::size_t remove(std::span<const std::uint32_t> slots);
 
   /// Called by the contexts when a gate pass found word-matching slots
   /// but none survived full confirmation — the second flavor of false
@@ -155,16 +144,14 @@ class TargetIndex {
     return z ^ (z >> 31);
   }
 
-  void rebuild_gate();
-  void rebuild_offsets();
-  void set_gate_bit(std::uint32_t word);
+  void build_gate();
+  void build_offsets();
 
   Config config_;
   std::vector<std::uint64_t> bits_;  ///< direct bit array or Bloom blocks
   bool direct_ = true;               ///< which gate geometry bits_ holds
   std::uint32_t bucket_mask_ = 63;   ///< direct: bit count - 1 (pow2)
   std::uint32_t nblocks_ = 0;        ///< bloom: 64-bit block count
-  std::size_t gate_capacity_ = 0;    ///< adds past this rebuild the gate
 
   std::vector<std::uint32_t> words_;  ///< sorted early-exit words
   std::vector<std::uint32_t> slots_;  ///< slots_[i] owns words_[i]

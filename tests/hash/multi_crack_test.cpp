@@ -252,36 +252,33 @@ TEST(Md5Multi, SharedWordTargetsReportedAmongMillionDecoys) {
   EXPECT_GE(stats.false_positives.load(), before);
 }
 
-TEST(Md5Multi, AddAndRetireTargetsLive) {
+TEST(Md5Multi, RetiredAtBuildIsNeverReported) {
   const std::string key_a = "aaaarest";
   const std::string key_b = "bbbbrest";
-  Md5MultiContext multi({Md5::digest(key_a)}, "rest", 8);
-
-  // key_b is unknown until added; its slot continues the numbering.
-  EXPECT_EQ(multi.test(pack_md5_word0(key_b.data(), 8)), Md5MultiContext::npos);
-  multi.add_targets(std::vector<Md5Digest>{Md5::digest(key_b)});
+  const Md5MultiContext multi({Md5::digest(key_a), Md5::digest(key_b)},
+                              "rest", 8, {}, std::vector<std::uint32_t>{0});
   EXPECT_EQ(multi.target_count(), 2u);
-  EXPECT_EQ(multi.test(pack_md5_word0(key_b.data(), 8)), 1u);
 
-  // Retiring slot 0 detaches key_a but key_b keeps slot 1.
-  multi.retire_slots(std::vector<std::uint32_t>{0});
-  EXPECT_EQ(multi.test(pack_md5_word0(key_a.data(), 8)), Md5MultiContext::npos);
+  // Slot 0 is left out; key_b keeps slot 1.
+  const std::uint32_t word_a = pack_md5_word0(key_a.data(), 8);
+  EXPECT_EQ(multi.test(word_a), Md5MultiContext::npos);
+  std::vector<MultiHit> hits;
+  multi.test_hits(word_a, 0, hits);
+  EXPECT_TRUE(hits.empty());
   EXPECT_EQ(multi.test(pack_md5_word0(key_b.data(), 8)), 1u);
 }
 
-TEST(Sha1Multi, AddAndRetireTargetsLive) {
+TEST(Sha1Multi, RetiredAtBuildIsNeverReported) {
   const std::string key_a = "aaaarest";
   const std::string key_b = "bbbbrest";
-  Sha1MultiContext multi({Sha1::digest(key_a)}, "rest", 8);
+  const Sha1MultiContext multi({Sha1::digest(key_a), Sha1::digest(key_b)},
+                               "rest", 8, {}, std::vector<std::uint32_t>{0});
 
-  EXPECT_EQ(multi.test(pack_sha_word0(key_b.data(), 8)),
-            Sha1MultiContext::npos);
-  multi.add_targets(std::vector<Sha1Digest>{Sha1::digest(key_b)});
-  EXPECT_EQ(multi.test(pack_sha_word0(key_b.data(), 8)), 1u);
-
-  multi.retire_slots(std::vector<std::uint32_t>{0});
-  EXPECT_EQ(multi.test(pack_sha_word0(key_a.data(), 8)),
-            Sha1MultiContext::npos);
+  const std::uint32_t word_a = pack_sha_word0(key_a.data(), 8);
+  EXPECT_EQ(multi.test(word_a), Sha1MultiContext::npos);
+  std::vector<MultiHit> hits;
+  multi.test_hits(word_a, 0, hits);
+  EXPECT_TRUE(hits.empty());
   EXPECT_EQ(multi.test(pack_sha_word0(key_b.data(), 8)), 1u);
 }
 

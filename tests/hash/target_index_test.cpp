@@ -183,55 +183,75 @@ TEST(TargetIndex, GateOffAlwaysPassesAndLookupStaysExact) {
   EXPECT_TRUE(index.matches(6).empty());
 }
 
-TEST(TargetIndex, AddMergesKeepingSlotsAscending) {
-  const std::vector<std::uint32_t> words = {5, 9, 7};
-  TargetIndex index(words);
-  index.add(std::vector<std::uint32_t>{5, 11}, 3);
-  EXPECT_EQ(index.size(), 5u);
-
+TEST(TargetIndex, RetiredAtBuildKeepsSlotsAscending) {
+  // Retired slots interleave with live ones on an equal word: the
+  // survivors keep their numbers and come back ascending.
+  const std::vector<std::uint32_t> words = {5, 9, 5, 7, 5, 11};
+  const std::vector<std::uint32_t> retired = {2, 3};
+  const TargetIndex index(words, TargetIndex::Config(), retired);
+  EXPECT_EQ(index.size(), 4u);
   const auto m5 = index.matches(5);
   ASSERT_EQ(m5.size(), 2u);
   EXPECT_EQ(m5[0], 0u);
-  EXPECT_EQ(m5[1], 3u);
-  EXPECT_TRUE(index.may_match(11));
+  EXPECT_EQ(m5[1], 4u);
+  EXPECT_TRUE(index.matches(7).empty());
   ASSERT_EQ(index.matches(11).size(), 1u);
-  EXPECT_EQ(index.matches(11)[0], 4u);
-}
+  EXPECT_EQ(index.matches(11)[0], 5u);
 
-TEST(TargetIndex, AddBeyondGateCapacityRebuilds) {
-  SplitMix64 rng(29);
-  std::vector<std::uint32_t> words(1000);
-  for (auto& w : words) w = static_cast<std::uint32_t>(rng());
-  TargetIndex index(words, forced_bloom());
-  const std::size_t before = index.filter_bytes();
-
-  std::vector<std::uint32_t> more(5000);
-  for (auto& w : more) w = static_cast<std::uint32_t>(rng());
-  index.add(more, 1000);
-  EXPECT_EQ(index.size(), 6000u);
-  // 6x growth must have re-sized the gate, or the rate would drift.
-  EXPECT_GT(index.filter_bytes(), before);
-  for (std::size_t i = 0; i < more.size(); i += 97) {
-    const auto slots = index.matches(more[i]);
-    ASSERT_TRUE(std::find(slots.begin(), slots.end(),
-                          static_cast<std::uint32_t>(1000 + i)) != slots.end());
+  // The same on the radix-sort path (>= 4096 live entries): 97 words
+  // shared by ~100 slots each, every third slot retired.
+  std::vector<std::uint32_t> many(20000);
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t i = 0; i < many.size(); ++i) {
+    many[i] = i % 97;
+    if (i % 3 == 0) dead.push_back(i);
+  }
+  const TargetIndex big(many, TargetIndex::Config(), dead);
+  EXPECT_EQ(big.size(), many.size() - dead.size());
+  for (std::uint32_t w = 0; w < 97; w += 12) {
+    std::vector<std::uint32_t> expect;
+    for (std::uint32_t i = w; i < many.size(); i += 97) {
+      if (i % 3 != 0) expect.push_back(i);
+    }
+    const auto got = big.matches(w);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expect);
   }
 }
 
-TEST(TargetIndex, RemoveLeavesNoGhostBits) {
+TEST(TargetIndex, GateIsSizedForTheLiveSlots) {
+  // 6000 words, 5000 of them retired: the gate is built for the 1000
+  // live ones, exactly as an index over those alone would be.
+  SplitMix64 rng(29);
+  std::vector<std::uint32_t> words(6000);
+  for (auto& w : words) w = static_cast<std::uint32_t>(rng());
+  std::vector<std::uint32_t> retired;
+  for (std::uint32_t slot = 1000; slot < words.size(); ++slot) {
+    retired.push_back(slot);
+  }
+  const TargetIndex index(words, forced_bloom(), retired);
+  const std::vector<std::uint32_t> live(words.begin(), words.begin() + 1000);
+  const TargetIndex live_only(live, forced_bloom());
+  EXPECT_EQ(index.size(), 1000u);
+  EXPECT_EQ(index.filter_bytes(), live_only.filter_bytes());
+  for (std::size_t i = 0; i < live.size(); i += 97) {
+    const auto slots = index.matches(live[i]);
+    ASSERT_TRUE(std::find(slots.begin(), slots.end(),
+                          static_cast<std::uint32_t>(i)) != slots.end());
+  }
+}
+
+TEST(TargetIndex, RetiredAtBuildLeavesNoGhostBits) {
   const std::vector<std::uint32_t> words = {100, 200, 300};
-  TargetIndex index(words);
-  EXPECT_EQ(index.remove(std::vector<std::uint32_t>{1}), 1u);
+  const TargetIndex index(words, TargetIndex::Config(),
+                          std::vector<std::uint32_t>{1});
   EXPECT_EQ(index.size(), 2u);
   EXPECT_TRUE(index.matches(200).empty());
-  // Direct mode rebuilds the exact bit array: the detached word's bit
-  // is genuinely gone, not just unreachable.
+  // Direct mode: the retired word set no bit of the array, so it is
+  // genuinely absent, not just unreachable.
   EXPECT_FALSE(index.may_match(200));
   EXPECT_TRUE(index.may_match(100));
   ASSERT_EQ(index.matches(300).size(), 1u);
   EXPECT_EQ(index.matches(300)[0], 2u);  // surviving slots keep numbers
-
-  EXPECT_EQ(index.remove(std::vector<std::uint32_t>{7}), 0u);  // unknown slot
 }
 
 TEST(TargetIndex, StatsCountGateTraffic) {
