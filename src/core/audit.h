@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cracker.h"
+#include "core/multi_crack.h"
 #include "hash/digest.h"
 #include "hash/salted.h"
 #include "keyspace/charset.h"
@@ -39,7 +39,11 @@ struct AuditPolicy {
 };
 
 /// Runs the brute-force audit over all entries; salted hashes cost no
-/// more than unsalted ones since the salt is known (Section I).
+/// more than unsalted ones since the salt is known (Section I). Two or
+/// more MD5/SHA1 entries sharing an (algorithm, salt) are cracked by one
+/// multi_crack sweep, each verdict carrying the group's `tested` and
+/// `elapsed_s`; any other entry gets its own single-target LocalCracker
+/// run. Verdicts come back in entry order.
 std::vector<AuditVerdict> run_audit(const std::vector<AuditEntry>& entries,
                                     const AuditPolicy& policy);
 

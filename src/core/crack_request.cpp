@@ -1,25 +1,20 @@
 #include "core/crack_request.h"
 
+#include <algorithm>
+
+#include "core/multi_crack.h"
 #include "hash/kernel_words.h"
-#include "hash/md5.h"
-#include "hash/sha1.h"
-#include "hash/sha256.h"
 #include "support/error.h"
 #include "support/hex.h"
 
 namespace gks::core {
 
 bool CrackRequest::matches(const std::string& key) const {
-  const std::string message = salt.apply(key);
-  switch (algorithm) {
-    case hash::Algorithm::kMd5:
-      return hash::Md5::digest(message).to_hex() == target_hex;
-    case hash::Algorithm::kSha1:
-      return hash::Sha1::digest(message).to_hex() == target_hex;
-    case hash::Algorithm::kSha256:
-      return hash::Sha256::digest(message).to_hex() == target_hex;
-  }
-  return false;
+  // Either hex spelling names the same digest: fold the target's case
+  // (setting bit 5 lower-cases A-F and leaves 0-9 as they are).
+  const std::string hex = salted_digest_hex(algorithm, salt, key);
+  return std::ranges::equal(hex, target_hex, {}, {},
+                            [](char c) { return static_cast<char>(c | 0x20); });
 }
 
 void CrackRequest::validate() const {

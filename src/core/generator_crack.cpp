@@ -1,43 +1,32 @@
 #include "core/generator_crack.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "hash/md5.h"
 #include "hash/sha1.h"
 #include "hash/sha256.h"
+#include "hash/target_index.h"
 #include "keyspace/interval.h"
 #include "support/error.h"
-#include "support/hex.h"
 #include "support/stopwatch.h"
 #include "support/thread_pool.h"
 
 namespace gks::core {
 namespace {
 
-std::string digest_of(hash::Algorithm algorithm, const std::string& message) {
-  switch (algorithm) {
-    case hash::Algorithm::kMd5: return hash::Md5::digest(message).to_hex();
-    case hash::Algorithm::kSha1: return hash::Sha1::digest(message).to_hex();
-    case hash::Algorithm::kSha256:
-      return hash::Sha256::digest(message).to_hex();
-  }
-  return {};
-}
-
-}  // namespace
-
-MultiCrackResult crack_generator(const keyspace::Generator& generator,
-                                 hash::Algorithm algorithm,
-                                 const std::vector<std::string>& target_hexes,
-                                 const hash::SaltSpec& salt,
-                                 std::size_t threads) {
-  GKS_REQUIRE(!target_hexes.empty(), "need at least one target digest");
-  for (const std::string& hex : target_hexes) {
-    GKS_REQUIRE(from_hex(hex).size() == hash::digest_size(algorithm),
-                "digest length does not match the algorithm");
-  }
-
+template <class Hasher>
+MultiCrackResult crack_with(const keyspace::Generator& generator,
+                            const std::vector<std::string>& target_hexes,
+                            const hash::SaltSpec& salt, std::size_t threads) {
+  using DigestT = decltype(Hasher::digest(std::string_view()));
   Stopwatch timer;
+  std::vector<DigestT> unique;
+  std::vector<std::vector<std::size_t>> slots;
+  hash::dedup_digests(target_hexes, unique, slots);
+  const hash::TargetIndex index = hash::index_digests(unique);
+
   MultiCrackResult result;
   result.targets.resize(target_hexes.size());
   for (std::size_t i = 0; i < target_hexes.size(); ++i) {
@@ -48,55 +37,68 @@ MultiCrackResult crack_generator(const keyspace::Generator& generator,
   keyspace::IntervalCursor cursor(
       keyspace::Interval(u128(0), generator.size()));
   const u128 slice(1u << 16);
+  std::size_t outstanding = unique.size();
 
-  while (!cursor.exhausted() && result.cracked < result.targets.size()) {
-    // Outstanding digests for this slice (lower-cased canonical hex).
-    std::vector<std::pair<std::string, std::size_t>> outstanding;
-    for (std::size_t i = 0; i < result.targets.size(); ++i) {
-      if (!result.targets[i].found) {
-        outstanding.emplace_back(result.targets[i].digest_hex, i);
-      }
-    }
-
+  while (!cursor.exhausted() && outstanding > 0) {
     const keyspace::Interval round = cursor.take(slice);
     const auto parts = static_cast<std::size_t>(std::min<std::uint64_t>(
         static_cast<std::uint64_t>(round.size().to_double() / 512) + 1,
         pool.size()));
     const auto sub = keyspace::split_even(round, parts);
 
-    struct Hit {
-      std::size_t target_index;
-      std::string key;
-    };
-    std::vector<std::vector<Hit>> hits(sub.size());
+    std::vector<std::vector<std::pair<std::uint32_t, std::string>>> hits(
+        sub.size());
     pool.parallel_for(sub.size(), [&](std::size_t p) {
+      // One candidate and one message buffer per part, reused for
+      // every candidate of it.
       std::string candidate;
+      std::string message;
       for (u128 id = sub[p].begin; id < sub[p].end; ++id) {
         generator.generate(id, candidate);
-        const std::string digest =
-            digest_of(algorithm, salt.apply(candidate));
-        for (const auto& [hex, index] : outstanding) {
-          if (digest == hex) hits[p].push_back({index, candidate});
-        }
+        salt.apply_into(candidate, message);
+        hash::for_each_digest_match(
+            index, unique, Hasher::digest(message),
+            [&](std::uint32_t u) { hits[p].emplace_back(u, candidate); });
       }
     });
 
     result.tested += round.size();
     result.intervals += sub.size();
     for (const auto& part : hits) {
-      for (const Hit& hit : part) {
-        MultiTargetVerdict& verdict = result.targets[hit.target_index];
-        if (!verdict.found) {
-          verdict.found = true;
-          verdict.key = hit.key;
+      for (const auto& [u, key] : part) {
+        if (result.targets[slots[u].front()].found) continue;
+        for (const std::size_t slot : slots[u]) {
+          result.targets[slot].found = true;
+          result.targets[slot].key = key;
           ++result.cracked;
         }
+        --outstanding;
       }
     }
   }
 
   result.elapsed_s = timer.seconds();
   return result;
+}
+
+}  // namespace
+
+MultiCrackResult crack_generator(const keyspace::Generator& generator,
+                                 hash::Algorithm algorithm,
+                                 const std::vector<std::string>& target_hexes,
+                                 const hash::SaltSpec& salt,
+                                 std::size_t threads) {
+  GKS_REQUIRE(!target_hexes.empty(), "need at least one target digest");
+  switch (algorithm) {
+    case hash::Algorithm::kMd5:
+      return crack_with<hash::Md5>(generator, target_hexes, salt, threads);
+    case hash::Algorithm::kSha1:
+      return crack_with<hash::Sha1>(generator, target_hexes, salt, threads);
+    case hash::Algorithm::kSha256:
+      return crack_with<hash::Sha256>(generator, target_hexes, salt,
+                                      threads);
+  }
+  throw InvalidArgument("unknown hash algorithm");
 }
 
 }  // namespace gks::core

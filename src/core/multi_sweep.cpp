@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <type_traits>
 #include <variant>
 
 #include "hash/kernel_words.h"
@@ -15,6 +17,41 @@
 #include "support/stopwatch.h"
 
 namespace gks::core {
+namespace {
+
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+/// One algorithm's unique digests, in unique-index order, plus a
+/// (digest, unique index) lookup sorted by digest — O(log n) for
+/// journal replay and add/remove dedup at million-target batches.
+template <class DigestT>
+struct DigestSet {
+  std::vector<DigestT> unique;
+  std::vector<std::pair<DigestT, std::size_t>> by_digest;
+
+  auto lower_bound(const DigestT& digest) const {
+    return std::lower_bound(
+        by_digest.begin(), by_digest.end(), digest,
+        [](const auto& entry, const DigestT& d) { return entry.first < d; });
+  }
+  /// Unique index of the hex's digest, or kNpos.
+  std::size_t find(const std::string& hex) const {
+    const DigestT digest = DigestT::from_hex(hex);
+    const auto it = lower_bound(digest);
+    return it != by_digest.end() && it->first == digest ? it->second : kNpos;
+  }
+  /// find(), appending the digest as a new unique when absent.
+  std::size_t find_or_add(const std::string& hex) {
+    const DigestT digest = DigestT::from_hex(hex);
+    const auto it = lower_bound(digest);
+    if (it != by_digest.end() && it->first == digest) return it->second;
+    unique.push_back(digest);
+    by_digest.insert(it, {digest, unique.size() - 1});
+    return unique.size() - 1;
+  }
+};
+
+}  // namespace
 
 /// The request's digests parsed once, deduplicated by digest bytes.
 /// Request slots sharing a digest (users sharing a password — common
@@ -22,16 +59,17 @@ namespace gks::core {
 /// add_targets() extends every vector append-only, so unique indices
 /// never shift.
 struct MultiSweeper::Parsed {
-  std::vector<hash::Md5Digest> md5;    ///< unique digests (MD5 runs)
-  std::vector<hash::Sha1Digest> sha1;  ///< unique digests (SHA1 runs)
+  DigestSet<hash::Md5Digest> md5;    ///< MD5 runs
+  DigestSet<hash::Sha1Digest> sha1;  ///< SHA1 runs
   /// request_slots[u] = indices into request.target_hexes with digest u.
   std::vector<std::vector<std::size_t>> request_slots;
-  /// (digest, unique index), sorted by digest — O(log n) lookup for
-  /// journal replay and add/remove dedup at million-target batches.
-  std::vector<std::pair<hash::Md5Digest, std::size_t>> md5_by_digest;
-  std::vector<std::pair<hash::Sha1Digest, std::size_t>> sha1_by_digest;
 
   std::size_t unique_count() const { return request_slots.size(); }
+  /// fn(md5) or fn(sha1): the set the request's algorithm uses.
+  template <class Fn>
+  auto visit(hash::Algorithm algorithm, const Fn& fn) {
+    return algorithm == hash::Algorithm::kMd5 ? fn(md5) : fn(sha1);
+  }
 };
 
 namespace {
@@ -102,8 +140,8 @@ class ContextCache {
 
 }  // namespace
 
-/// An immutable view of the target set plus the fast-path contexts
-/// built for it. Scans pin one snapshot for their whole interval.
+/// An immutable view of the target set plus the indexes built for it.
+/// Scans pin one snapshot for their whole interval.
 /// Context slot numbers equal unique-digest indices: the digest
 /// vectors keep holes for dead targets, and `retired` lists the slots
 /// the contexts leave out of their TargetIndexes. Recoveries and
@@ -113,11 +151,13 @@ struct MultiSweeper::Snapshot {
   std::uint64_t generation = 0;
   std::vector<hash::Md5Digest> md5;
   std::vector<hash::Sha1Digest> sha1;
-  /// live[u] == 0 skips u on the generic (non-fast-path) scan; the
-  /// fast path relies on `retired` instead.
-  std::vector<std::uint8_t> live;
   /// Unique indices left out of the context indexes, ascending.
   std::vector<std::uint32_t> retired;
+  /// The generic path's full-digest index, under the same `retired`
+  /// rule. The first scan that takes that path builds it, outside
+  /// state_mu_, so publishing a snapshot stays a few vector copies.
+  mutable std::once_flag generic_once;
+  mutable std::optional<hash::TargetIndex> generic;
   mutable ContextCache contexts;
 };
 
@@ -128,54 +168,6 @@ namespace {
 /// amortized mark_found cost flat while bounding the dead weight
 /// scanned to at most half a context.
 constexpr std::size_t kCompactMin = 256;
-
-/// Parses one algorithm's digests and groups duplicates by sorting —
-/// no per-entry node allocations, which matters at audit batch sizes.
-template <class DigestT>
-void dedup_targets(const std::vector<std::string>& hexes,
-                   std::vector<DigestT>& unique,
-                   std::vector<std::pair<DigestT, std::size_t>>& by_digest,
-                   std::vector<std::vector<std::size_t>>& request_slots) {
-  std::vector<std::pair<DigestT, std::size_t>> entries;
-  entries.reserve(hexes.size());
-  for (std::size_t i = 0; i < hexes.size(); ++i) {
-    entries.emplace_back(DigestT::from_hex(hexes[i]), i);
-  }
-  std::sort(entries.begin(), entries.end());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (i == 0 || entries[i].first != entries[i - 1].first) {
-      unique.push_back(entries[i].first);
-      by_digest.emplace_back(entries[i].first, unique.size() - 1);
-      request_slots.emplace_back();
-    }
-    request_slots.back().push_back(entries[i].second);
-  }
-}
-
-/// Unique index of `digest` in the sorted (digest, index) lookup, or
-/// npos.
-template <class DigestT>
-std::size_t find_unique(
-    const std::vector<std::pair<DigestT, std::size_t>>& by_digest,
-    const DigestT& digest) {
-  const auto it = std::lower_bound(
-      by_digest.begin(), by_digest.end(), digest,
-      [](const auto& entry, const DigestT& d) { return entry.first < d; });
-  if (it == by_digest.end() || it->first != digest) {
-    return static_cast<std::size_t>(-1);
-  }
-  return it->second;
-}
-
-template <class DigestT>
-void insert_by_digest(
-    std::vector<std::pair<DigestT, std::size_t>>& by_digest,
-    const DigestT& digest, std::size_t unique_index) {
-  const auto it = std::lower_bound(
-      by_digest.begin(), by_digest.end(), digest,
-      [](const auto& entry, const DigestT& d) { return entry.first < d; });
-  by_digest.insert(it, {digest, unique_index});
-}
 
 bool fast_path_applicable(const MultiCrackRequest& request,
                           std::size_t key_len) {
@@ -250,10 +242,7 @@ const hash::simd::ScanKernels* calibrate_multi_kernels(
   const auto prefix_chars =
       static_cast<unsigned>(std::min<std::size_t>(4, key_len));
   const std::string probe_key(key_len, request.charset.chars()[0]);
-  std::string tail = key_len > 4 ? probe_key.substr(4) : std::string();
-  if (request.salt.position == hash::SaltPosition::kSuffix) {
-    tail += request.salt.salt;
-  }
+  const std::string tail = chunk_tail(request, probe_key);
   const std::size_t total_len = key_len + request.salt.extra_length();
   const bool big_endian = request.algorithm == hash::Algorithm::kSha1;
   const hash::PrefixWord0Iterator start(request.charset.chars(), prefix_chars,
@@ -262,49 +251,36 @@ const hash::simd::ScanKernels* calibrate_multi_kernels(
   constexpr std::uint64_t kWarmup = 1024;
   constexpr std::uint64_t kProbe = 8192;
   std::vector<hash::MultiHit> scratch;
-  const auto measure = [&](const auto& scan) {
-    auto it = start;
-    scratch.clear();
-    scan(it, kWarmup);
-    Stopwatch timer;
-    scan(it, kProbe);
-    return timer.seconds();
+  // Times the scalar engine and every lane width on one context.
+  const auto race = [&](const auto& ctx, const auto& scalar,
+                        auto hash::simd::ScanKernels::*lane) {
+    const auto measure = [&](const auto& scan) {
+      auto it = start;
+      scratch.clear();
+      scan(ctx, it, kWarmup, scratch);
+      Stopwatch timer;
+      scan(ctx, it, kProbe, scratch);
+      return timer.seconds();
+    };
+    const hash::simd::ScanKernels* winner = nullptr;
+    double best = measure(scalar);
+    for (const auto& k : hash::simd::available_kernels()) {
+      const double t = measure(k.*lane);
+      if (t < best) {
+        best = t;
+        winner = &k;
+      }
+    }
+    return winner;
   };
-
-  const hash::simd::ScanKernels* winner = nullptr;
-  double best = 0;
   if (request.algorithm == hash::Algorithm::kMd5) {
-    const hash::Md5MultiContext ctx(md5, tail, total_len, index_cfg);
-    best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-      hash::md5_multi_scan_prefixes(ctx, it, n, scratch);
-    });
-    for (const auto& k : hash::simd::available_kernels()) {
-      const double t =
-          measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-            k.md5_multi_scan(ctx, it, n, scratch);
-          });
-      if (t < best) {
-        best = t;
-        winner = &k;
-      }
-    }
-  } else {
-    const hash::Sha1MultiContext ctx(sha1, tail, total_len, index_cfg);
-    best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-      hash::sha1_multi_scan_prefixes(ctx, it, n, scratch);
-    });
-    for (const auto& k : hash::simd::available_kernels()) {
-      const double t =
-          measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-            k.sha1_multi_scan(ctx, it, n, scratch);
-          });
-      if (t < best) {
-        best = t;
-        winner = &k;
-      }
-    }
+    return race(hash::Md5MultiContext(md5, tail, total_len, index_cfg),
+                hash::md5_multi_scan_prefixes,
+                &hash::simd::ScanKernels::md5_multi_scan);
   }
-  return winner;
+  return race(hash::Sha1MultiContext(sha1, tail, total_len, index_cfg),
+              hash::sha1_multi_scan_prefixes,
+              &hash::simd::ScanKernels::sha1_multi_scan);
 }
 
 }  // namespace
@@ -318,13 +294,15 @@ MultiSweeper::MultiSweeper(MultiCrackRequest request)
                                            request_.min_length)),
       space_(keyspace::space_size(request_.charset.size(),
                                   request_.min_length, request_.max_length)) {
-  if (request_.algorithm == hash::Algorithm::kMd5) {
-    dedup_targets(request_.target_hexes, parsed_->md5, parsed_->md5_by_digest,
-                  parsed_->request_slots);
-  } else {
-    dedup_targets(request_.target_hexes, parsed_->sha1,
-                  parsed_->sha1_by_digest, parsed_->request_slots);
-  }
+  parsed_->visit(request_.algorithm, [&](auto& set) {
+    // dedup_digests leaves `unique` sorted, so the lookup starts as
+    // (unique[u], u).
+    hash::dedup_digests(request_.target_hexes, set.unique,
+                        parsed_->request_slots);
+    for (std::size_t u = 0; u < set.unique.size(); ++u) {
+      set.by_digest.emplace_back(set.unique[u], u);
+    }
+  });
   unique_found_.assign(parsed_->unique_count(), false);
   unique_removed_.assign(parsed_->unique_count(), false);
   unique_keys_.assign(parsed_->unique_count(), std::string());
@@ -364,12 +342,10 @@ std::shared_ptr<const MultiSweeper::Snapshot>
 MultiSweeper::build_snapshot_locked() const {
   auto snap = std::make_shared<Snapshot>();
   snap->generation = generation_.load(std::memory_order_relaxed);
-  snap->md5 = parsed_->md5;
-  snap->sha1 = parsed_->sha1;
-  snap->live.assign(parsed_->unique_count(), 1);
+  snap->md5 = parsed_->md5.unique;
+  snap->sha1 = parsed_->sha1.unique;
   for (std::size_t u = 0; u < parsed_->unique_count(); ++u) {
     if (unique_found_[u] || unique_removed_[u]) {
-      snap->live[u] = 0;
       snap->retired.push_back(static_cast<std::uint32_t>(u));
     }
   }
@@ -459,40 +435,35 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
           // Contexts are built from the snapshot's digests minus its
           // retired slots; counting the builds makes the cache's bound
           // observable.
-          const auto note_build = [&] {
-            context_builds_.fetch_add(1, std::memory_order_relaxed);
-            if (observed) {
-              static obs::Counter& builds = obs::Registry::global().counter(
-                  "gks_sweep_context_builds_total");
-              builds.add(1);
+          const auto scan_with = [&](auto ctx_type, const auto& digests,
+                                     const auto& scalar,
+                                     auto hash::simd::ScanKernels::*lane) {
+            using Ctx = typename decltype(ctx_type)::type;
+            const auto multi = snap->contexts.get<Ctx>(cache_key, [&] {
+              context_builds_.fetch_add(1, std::memory_order_relaxed);
+              if (observed) {
+                static obs::Counter& builds = obs::Registry::global().counter(
+                    "gks_sweep_context_builds_total");
+                builds.add(1);
+              }
+              return std::make_shared<const Ctx>(digests, cache_key.second,
+                                                 total_len, index_config(),
+                                                 snap->retired);
+            });
+            if (kernels_ != nullptr) {
+              (kernels_->*lane)(*multi, it, n, found);
+            } else {
+              scalar(*multi, it, n, found);
             }
           };
           if (request_.algorithm == hash::Algorithm::kMd5) {
-            const auto multi = snap->contexts.get<hash::Md5MultiContext>(
-                cache_key, [&] {
-                  note_build();
-                  return std::make_shared<const hash::Md5MultiContext>(
-                      snap->md5, cache_key.second, total_len, index_config(),
-                      snap->retired);
-                });
-            if (kernels_ != nullptr) {
-              kernels_->md5_multi_scan(*multi, it, n, found);
-            } else {
-              hash::md5_multi_scan_prefixes(*multi, it, n, found);
-            }
+            scan_with(std::type_identity<hash::Md5MultiContext>(), snap->md5,
+                      hash::md5_multi_scan_prefixes,
+                      &hash::simd::ScanKernels::md5_multi_scan);
           } else {
-            const auto multi = snap->contexts.get<hash::Sha1MultiContext>(
-                cache_key, [&] {
-                  note_build();
-                  return std::make_shared<const hash::Sha1MultiContext>(
-                      snap->sha1, cache_key.second, total_len, index_config(),
-                      snap->retired);
-                });
-            if (kernels_ != nullptr) {
-              kernels_->sha1_multi_scan(*multi, it, n, found);
-            } else {
-              hash::sha1_multi_scan_prefixes(*multi, it, n, found);
-            }
+            scan_with(std::type_identity<hash::Sha1MultiContext>(),
+                      snap->sha1, hash::sha1_multi_scan_prefixes,
+                      &hash::simd::ScanKernels::sha1_multi_scan);
           }
           // Context slots ARE unique indices; targets found or removed
           // after this snapshot was published may still surface here
@@ -502,29 +473,33 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
                 {h.slot, codec_.decode(id + u128(h.offset) + offset_)});
           }
         } else {
-          // Generic path: full digest per candidate, compared to every
-          // live unique digest.
+          // Generic path: the full digest of every candidate, probed
+          // against the snapshot's digest index. Like the contexts,
+          // the index may still hold targets recovered since it was
+          // built; mark_found filters those.
+          std::call_once(snap->generic_once, [&] {
+            snap->generic =
+                request_.algorithm == hash::Algorithm::kMd5
+                    ? hash::index_digests(snap->md5, index_config(),
+                                          snap->retired)
+                    : hash::index_digests(snap->sha1, index_config(),
+                                          snap->retired);
+          });
           std::string key = first_key;
-          u128 togo = count;
-          while (togo > u128(0)) {
-            const std::string message = request_.salt.apply(key);
+          std::string message;
+          const auto probe = [&](const auto& digests, const auto& digest) {
+            hash::for_each_digest_match(
+                *snap->generic, digests, digest,
+                [&](std::uint32_t u) { hits.push_back({u, key}); });
+          };
+          for (u128 togo = count; togo > u128(0); --togo) {
+            request_.salt.apply_into(key, message);
             if (request_.algorithm == hash::Algorithm::kMd5) {
-              const auto digest = hash::Md5::digest(message);
-              for (std::size_t t = 0; t < snap->md5.size(); ++t) {
-                if (snap->live[t] != 0 && digest == snap->md5[t]) {
-                  hits.push_back({t, key});
-                }
-              }
+              probe(snap->md5, hash::Md5::digest(message));
             } else {
-              const auto digest = hash::Sha1::digest(message);
-              for (std::size_t t = 0; t < snap->sha1.size(); ++t) {
-                if (snap->live[t] != 0 && digest == snap->sha1[t]) {
-                  hits.push_back({t, key});
-                }
-              }
+              probe(snap->sha1, hash::Sha1::digest(message));
             }
             codec_.next_inplace(key);
-            --togo;
           }
         }
         tested += count;
@@ -580,29 +555,21 @@ std::vector<std::size_t> MultiSweeper::mark_found(std::size_t unique_index,
 
 std::vector<std::size_t> MultiSweeper::mark_found_hex(
     const std::string& digest_hex, const std::string& key) {
-  std::size_t u = static_cast<std::size_t>(-1);
+  std::size_t u = kNpos;
   {
     std::lock_guard lock(state_mu_);
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      u = find_unique(parsed_->md5_by_digest,
-                      hash::Md5Digest::from_hex(digest_hex));
-    } else {
-      u = find_unique(parsed_->sha1_by_digest,
-                      hash::Sha1Digest::from_hex(digest_hex));
-    }
+    u = parsed_->visit(request_.algorithm,
+                       [&](const auto& set) { return set.find(digest_hex); });
   }
-  if (u == static_cast<std::size_t>(-1)) return {};
+  if (u == kNpos) return {};
   return mark_found(u, key);
 }
 
 void MultiSweeper::validate_target_hexes(
     const std::vector<std::string>& hexes) const {
   for (const std::string& hex : hexes) {
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      (void)hash::Md5Digest::from_hex(hex);
-    } else {
-      (void)hash::Sha1Digest::from_hex(hex);
-    }
+    GKS_REQUIRE(from_hex(hex).size() == hash::digest_size(request_.algorithm),
+                "digest length does not match the algorithm");
   }
 }
 
@@ -617,25 +584,10 @@ TargetAddOutcome MultiSweeper::add_targets(
   bool republish = false;
   for (const std::string& hex : hexes) {
     const std::size_t slot = request_.target_hexes.size();
-    std::size_t u;
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      const auto digest = hash::Md5Digest::from_hex(hex);
-      u = find_unique(parsed_->md5_by_digest, digest);
-      if (u == static_cast<std::size_t>(-1)) {
-        u = parsed_->unique_count();
-        parsed_->md5.push_back(digest);
-        insert_by_digest(parsed_->md5_by_digest, digest, u);
-        parsed_->request_slots.emplace_back();
-      }
-    } else {
-      const auto digest = hash::Sha1Digest::from_hex(hex);
-      u = find_unique(parsed_->sha1_by_digest, digest);
-      if (u == static_cast<std::size_t>(-1)) {
-        u = parsed_->unique_count();
-        parsed_->sha1.push_back(digest);
-        insert_by_digest(parsed_->sha1_by_digest, digest, u);
-        parsed_->request_slots.emplace_back();
-      }
+    const std::size_t u = parsed_->visit(
+        request_.algorithm, [&](auto& set) { return set.find_or_add(hex); });
+    if (u == parsed_->request_slots.size()) {
+      parsed_->request_slots.emplace_back();
     }
     request_.target_hexes.push_back(hex);
     parsed_->request_slots[u].push_back(slot);
@@ -689,15 +641,9 @@ std::size_t MultiSweeper::remove_targets(
   std::lock_guard lock(state_mu_);
   std::size_t detached = 0;
   for (const std::string& hex : hexes) {
-    std::size_t u;
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      u = find_unique(parsed_->md5_by_digest,
-                      hash::Md5Digest::from_hex(hex));
-    } else {
-      u = find_unique(parsed_->sha1_by_digest,
-                      hash::Sha1Digest::from_hex(hex));
-    }
-    if (u == static_cast<std::size_t>(-1)) continue;
+    const std::size_t u = parsed_->visit(
+        request_.algorithm, [&](const auto& set) { return set.find(hex); });
+    if (u == kNpos) continue;
     if (unique_found_[u] || unique_removed_[u]) continue;
     unique_removed_[u] = true;
     ++dead_count_;

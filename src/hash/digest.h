@@ -30,6 +30,21 @@ struct Digest {
   auto operator<=>(const Digest&) const = default;
 };
 
+/// The 32-bit word at `p` in little-endian (MD5) / big-endian (SHA)
+/// byte order — how the digests lay out their state words.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) << 24 |
+         static_cast<std::uint32_t>(p[1]) << 16 |
+         static_cast<std::uint32_t>(p[2]) << 8 |
+         static_cast<std::uint32_t>(p[3]);
+}
+
 /// 128-bit MD5 digest (RFC 1321).
 using Md5Digest = Digest<16>;
 /// 160-bit SHA1 digest (RFC 3174).

@@ -5,17 +5,6 @@
 #include "support/error.h"
 
 namespace gks::hash {
-namespace {
-
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-}  // namespace
-
 Md5CrackContext::Md5CrackContext(const Md5Digest& target,
                                  std::string_view tail, std::size_t total_len)
     : target_(target) {

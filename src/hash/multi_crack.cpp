@@ -9,22 +9,12 @@
 namespace gks::hash {
 namespace {
 
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) << 24 |
-         static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-std::array<std::uint32_t, 16> fixed_md5_words(std::string_view tail,
-                                              std::size_t total_len) {
+/// The fixed message words of every candidate of one (tail, length)
+/// context, word 0 left zero; `pack` is pack_md5_block or
+/// pack_sha_block.
+template <class Pack>
+std::array<std::uint32_t, 16> fixed_words(std::string_view tail,
+                                          std::size_t total_len, Pack pack) {
   GKS_REQUIRE(total_len <= 55, "message does not fit a single block");
   if (total_len >= 4) {
     GKS_REQUIRE(tail.size() == total_len - 4,
@@ -34,21 +24,7 @@ std::array<std::uint32_t, 16> fixed_md5_words(std::string_view tail,
   }
   std::string message(total_len, '\0');
   for (std::size_t i = 4; i < total_len; ++i) message[i] = tail[i - 4];
-  return pack_md5_block(message).words;
-}
-
-std::array<std::uint32_t, 16> fixed_sha_words(std::string_view tail,
-                                              std::size_t total_len) {
-  GKS_REQUIRE(total_len <= 55, "message does not fit a single block");
-  if (total_len >= 4) {
-    GKS_REQUIRE(tail.size() == total_len - 4,
-                "tail must hold exactly the bytes after the first word");
-  } else {
-    GKS_REQUIRE(tail.empty(), "short keys have no tail");
-  }
-  std::string message(total_len, '\0');
-  for (std::size_t i = 4; i < total_len; ++i) message[i] = tail[i - 4];
-  return pack_sha_block(message).words;
+  return pack(message).words;
 }
 
 std::vector<std::uint32_t> md5_index_words(
@@ -129,7 +105,7 @@ Md5MultiContext::Md5MultiContext(const std::vector<Md5Digest>& targets,
                                  std::string_view tail, std::size_t total_len,
                                  const TargetIndex::Config& index_config,
                                  std::span<const std::uint32_t> retired)
-    : m_(fixed_md5_words(tail, total_len)),
+    : m_(fixed_words(tail, total_len, pack_md5_block)),
       reverted_(revert_md5(targets, m_)),
       index_(md5_index_words(reverted_), index_config, retired) {
   GKS_REQUIRE(!targets.empty(), "need at least one target digest");
@@ -219,7 +195,7 @@ Sha1MultiContext::Sha1MultiContext(const std::vector<Sha1Digest>& targets,
                                    std::size_t total_len,
                                    const TargetIndex::Config& index_config,
                                    std::span<const std::uint32_t> retired)
-    : m_(fixed_sha_words(tail, total_len)),
+    : m_(fixed_words(tail, total_len, pack_sha_block)),
       unfed_(unfeed_sha1(targets)),
       index_(sha1_index_words(unfed_), index_config, retired) {
   GKS_REQUIRE(!targets.empty(), "need at least one target digest");

@@ -3,8 +3,6 @@
 #include <string>
 #include <string_view>
 
-#include "hash/digest.h"
-
 namespace gks::hash {
 
 /// Where the salt is concatenated relative to the key. Salting defeats
@@ -20,12 +18,18 @@ struct SaltSpec {
 
   /// Applies the scheme: returns salt+key, key+salt, or key.
   std::string apply(std::string_view key) const {
-    switch (position) {
-      case SaltPosition::kNone: return std::string(key);
-      case SaltPosition::kPrefix: return salt + std::string(key);
-      case SaltPosition::kSuffix: return std::string(key) + salt;
-    }
-    return std::string(key);
+    std::string message;
+    apply_into(key, message);
+    return message;
+  }
+
+  /// apply() into a caller-owned buffer, so per-candidate loops reuse
+  /// one allocation.
+  void apply_into(std::string_view key, std::string& message) const {
+    message.clear();
+    if (position == SaltPosition::kPrefix) message += salt;
+    message += key;
+    if (position == SaltPosition::kSuffix) message += salt;
   }
 
   /// Extra bytes the salt adds to every hashed message.
@@ -33,11 +37,5 @@ struct SaltSpec {
     return position == SaltPosition::kNone ? 0 : salt.size();
   }
 };
-
-/// MD5 of the salted key.
-Md5Digest md5_salted(const SaltSpec& spec, std::string_view key);
-
-/// SHA1 of the salted key.
-Sha1Digest sha1_salted(const SaltSpec& spec, std::string_view key);
 
 }  // namespace gks::hash

@@ -5,17 +5,6 @@
 #include "support/error.h"
 
 namespace gks::hash {
-namespace {
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) << 24 |
-         static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-}  // namespace
-
 Sha1CrackContext::Sha1CrackContext(const Sha1Digest& target,
                                    std::string_view tail,
                                    std::size_t total_len)

@@ -1,10 +1,15 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "hash/digest.h"
 
 namespace gks::hash {
 
@@ -160,5 +165,71 @@ class TargetIndex {
   std::vector<std::uint32_t> offsets_;
   unsigned offset_shift_ = 31;
 };
+
+// Full-digest matching: the test every search that hashes a whole
+// candidate runs (generator attacks, and the sweep's generic path for
+// prefix salts and short suffix-salted keys). The index is keyed on a
+// digest's first 32-bit word and a word match is confirmed against the
+// full digest, so per-candidate cost does not depend on the target
+// count.
+
+/// Parses `hexes` (either case) and groups equal digests by sorting —
+/// no per-entry node allocations, which matters at audit batch sizes.
+/// `unique` receives each distinct digest once, ascending, and
+/// `slots[u]` the positions of the hexes that parse to unique[u].
+/// Throws InvalidArgument on a malformed hex.
+template <class DigestT>
+void dedup_digests(const std::vector<std::string>& hexes,
+                   std::vector<DigestT>& unique,
+                   std::vector<std::vector<std::size_t>>& slots) {
+  std::vector<std::pair<DigestT, std::size_t>> entries;
+  entries.reserve(hexes.size());
+  for (std::size_t i = 0; i < hexes.size(); ++i) {
+    entries.emplace_back(DigestT::from_hex(hexes[i]), i);
+  }
+  std::sort(entries.begin(), entries.end());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].first != entries[i - 1].first) {
+      unique.push_back(entries[i].first);
+      slots.emplace_back();
+    }
+    slots.back().push_back(entries[i].second);
+  }
+}
+
+/// Indexes digests[i] as slot i, leaving out the `retired` slots
+/// (ascending) exactly as TargetIndex does.
+template <class DigestT>
+TargetIndex index_digests(const std::vector<DigestT>& digests,
+                          const TargetIndex::Config& config = {},
+                          std::span<const std::uint32_t> retired = {}) {
+  std::vector<std::uint32_t> words;
+  words.reserve(digests.size());
+  for (const DigestT& d : digests) {
+    words.push_back(load_le32(d.bytes.data()));
+  }
+  return TargetIndex(words, config, retired);
+}
+
+/// Calls on_match(slot), ascending, for every slot of `index` (built by
+/// index_digests over `digests`) whose digest equals `digest`. A miss
+/// costs one gate load; targets sharing the first word are each
+/// confirmed, so none shadows or impersonates another.
+template <class DigestT, class OnMatch>
+void for_each_digest_match(const TargetIndex& index,
+                           const std::vector<DigestT>& digests,
+                           const DigestT& digest, OnMatch&& on_match) {
+  const std::uint32_t word = load_le32(digest.bytes.data());
+  if (!index.may_match(word)) return;
+  const auto slots = index.matches(word);
+  bool any = false;
+  for (const std::uint32_t slot : slots) {
+    if (digests[slot] == digest) {
+      on_match(slot);
+      any = true;
+    }
+  }
+  if (!any && !slots.empty()) index.note_false_positive();
+}
 
 }  // namespace gks::hash

@@ -31,6 +31,17 @@ Charset Charset::alphanumeric() {
 }
 Charset Charset::printable() { return Charset(range(' ', '~')); }
 
+Charset Charset::by_name(std::string_view name) {
+  if (name == "lower") return lower();
+  if (name == "upper") return upper();
+  if (name == "digits") return digits();
+  if (name == "alpha") return alpha();
+  if (name == "alnum") return alphanumeric();
+  if (name == "printable") return printable();
+  if (name.starts_with("custom:")) return Charset(name.substr(7));
+  throw InvalidArgument("unknown charset: " + std::string(name));
+}
+
 std::size_t Charset::index_of(char c) const {
   const int i = index_[static_cast<unsigned char>(c)];
   GKS_REQUIRE(i >= 0, std::string("character '") + c + "' not in charset");

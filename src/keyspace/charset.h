@@ -32,6 +32,9 @@ class Charset {
   static Charset alphanumeric();
   /// All printable ASCII (0x20..0x7e, N = 95).
   static Charset printable();
+  /// The command-line spelling: lower|upper|digits|alpha|alnum|
+  /// printable, or custom:CHARS. Throws InvalidArgument otherwise.
+  static Charset by_name(std::string_view name);
 
   /// Alphabet size N.
   std::size_t size() const { return chars_.size(); }

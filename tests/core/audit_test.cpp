@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "keyspace/space.h"
 #include "support/error.h"
 
 namespace gks::core {
@@ -73,6 +74,54 @@ TEST(Audit, EmptyEntryListIsFine) {
 TEST(Audit, MakeEntryRejectsUnsupportedAlgorithms) {
   EXPECT_THROW(make_entry("x", hash::Algorithm::kSha256, "pw", {}),
                InvalidArgument);
+}
+
+TEST(Audit, Sha256EntriesSharingASaltAreCrackedOneByOne) {
+  // Batch sweeps cover MD5 and SHA1 only, so a shared-salt SHA256 group
+  // must not reach multi_crack.
+  const hash::SaltSpec pep{hash::SaltPosition::kSuffix, "pep"};
+  std::vector<AuditEntry> entries;
+  for (const char* pw : {"ab", "ba"}) {
+    entries.push_back({pw, hash::Algorithm::kSha256,
+                       salted_digest_hex(hash::Algorithm::kSha256, pep, pw),
+                       pep});
+  }
+  AuditPolicy policy;
+  policy.charset = keyspace::Charset("ab");
+  policy.max_length = 2;
+  policy.threads = 1;
+  const auto verdicts = run_audit(entries, policy);
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].recovered_key, "ab");
+  EXPECT_EQ(verdicts[1].recovered_key, "ba");
+}
+
+TEST(Audit, EntriesSharingASaltShareOneSweep) {
+  // u1..u3 share (MD5, suffix "pep"), u2 and u4 the same password; u4
+  // has its own salt and so its own sweep.
+  const hash::SaltSpec pep{hash::SaltPosition::kSuffix, "pep"};
+  const std::vector<AuditEntry> entries = {
+      make_entry("u1", hash::Algorithm::kMd5, "ab", pep),
+      make_entry("u2", hash::Algorithm::kMd5, "bba", pep),
+      make_entry("u3", hash::Algorithm::kMd5, "bba", pep),
+      make_entry("u4", hash::Algorithm::kMd5, "bba",
+                 {hash::SaltPosition::kPrefix, "x"}),
+  };
+  AuditPolicy policy;
+  policy.charset = keyspace::Charset("ab");
+  policy.max_length = 3;
+  policy.threads = 2;
+  const auto verdicts = run_audit(entries, policy);
+  ASSERT_EQ(verdicts.size(), 4u);
+  const char* keys[] = {"ab", "bba", "bba", "bba"};
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i].user, entries[i].user);
+    EXPECT_TRUE(verdicts[i].cracked) << entries[i].user;
+    EXPECT_EQ(verdicts[i].recovered_key, keys[i]);
+  }
+  EXPECT_EQ(verdicts[0].tested, verdicts[1].tested);
+  EXPECT_EQ(verdicts[1].tested, verdicts[2].tested);
+  EXPECT_EQ(verdicts[0].elapsed_s, verdicts[2].elapsed_s);
 }
 
 TEST(Audit, VerdictsPreserveOrderAndUsers) {

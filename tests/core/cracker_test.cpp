@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "support/error.h"
 
 #include "hash/md5.h"
@@ -42,6 +44,24 @@ TEST(LocalCracker, CracksASaltedPassword) {
   const auto result = LocalCracker(2).crack(request);
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.key, "keys");
+}
+
+TEST(LocalCracker, UpperCaseTargetOnTheGenericPath) {
+  // A prefix salt sends every length through the generic path, which
+  // must compare digest bytes, not hex spellings.
+  CrackRequest request;
+  request.algorithm = hash::Algorithm::kMd5;
+  request.salt = {hash::SaltPosition::kPrefix, "xy"};
+  request.target_hex = hash::Md5::digest("xyab").to_hex();
+  for (char& ch : request.target_hex) {
+    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  request.charset = keyspace::Charset::lower();
+  request.min_length = 1;
+  request.max_length = 3;
+  const auto result = LocalCracker(2).crack(request);
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.key, "ab");
 }
 
 TEST(LocalCracker, ReportsExhaustionWhenAbsent) {

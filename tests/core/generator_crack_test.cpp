@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "hash/md5.h"
 #include "hash/sha1.h"
 #include "hash/sha256.h"
@@ -112,6 +114,49 @@ TEST(GeneratorCrack, AgreesWithSpecializedEngineOnBaseN) {
   ASSERT_EQ(generic.cracked, 1u);
   ASSERT_EQ(optimized.cracked, 1u);
   EXPECT_EQ(generic.targets[0].key, optimized.targets[0].key);
+}
+
+TEST(GeneratorCrack, UpperCaseHexIsFound) {
+  const keyspace::MaskGenerator mask("?l?l");
+  std::string hex = hash::Md5::digest("ab").to_hex();
+  for (char& ch : hex) {
+    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  const auto result = crack_generator(mask, hash::Algorithm::kMd5, {hex}, {},
+                                      2);
+  ASSERT_EQ(result.cracked, 1u);
+  EXPECT_EQ(result.targets[0].digest_hex, hex);
+  EXPECT_EQ(result.targets[0].key, "ab");
+}
+
+TEST(GeneratorCrack, DigestListedTwiceResolvesBothSlotsInOrder) {
+  const keyspace::MaskGenerator mask("?d?d");
+  const std::string twice = hash::Sha1::digest("42").to_hex();
+  const std::string other = hash::Sha1::digest("07").to_hex();
+  const auto result = crack_generator(
+      mask, hash::Algorithm::kSha1, {twice, other, twice}, {}, 2);
+  ASSERT_EQ(result.cracked, 3u);
+  EXPECT_EQ(result.targets[0].digest_hex, twice);
+  EXPECT_EQ(result.targets[0].key, "42");
+  EXPECT_EQ(result.targets[1].key, "07");
+  EXPECT_EQ(result.targets[2].key, "42");
+}
+
+TEST(GeneratorCrack, SameFirstWordDecoyIsNotReported) {
+  // The decoy shares the planted digest's first 32-bit word, so it
+  // passes the index lookup and must fail full-digest confirmation.
+  const keyspace::MaskGenerator mask("?l?d");
+  const hash::Md5Digest planted = hash::Md5::digest("k7");
+  hash::Md5Digest decoy = planted;
+  decoy.bytes.back() ^= 0xff;
+  const auto result = crack_generator(
+      mask, hash::Algorithm::kMd5, {decoy.to_hex(), planted.to_hex()}, {},
+      2);
+  EXPECT_EQ(result.cracked, 1u);
+  EXPECT_FALSE(result.targets[0].found);
+  ASSERT_TRUE(result.targets[1].found);
+  EXPECT_EQ(result.targets[1].key, "k7");
+  EXPECT_EQ(result.tested, mask.size());
 }
 
 TEST(GeneratorCrack, RejectsBadInput) {

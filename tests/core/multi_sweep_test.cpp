@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hash/md5.h"
+#include "hash/sha1.h"
 #include "keyspace/codec.h"
 #include "keyspace/space.h"
 #include "support/error.h"
@@ -394,6 +396,106 @@ TEST(MultiSweep, ConcurrentAddDuringScanIsNeverMissed) {
                 MultiSweeper::kCachedContexts);
     }
   }
+}
+
+/// A prefix-salted batch that sends every length through the generic
+/// path: ~2000 targets, of which five are planted keys ("zz" listed
+/// twice) and one a decoy sharing the digest of planted "abc" in all
+/// but its last byte (so also in its first 32-bit word); the rest hash
+/// strings outside the space.
+template <class Hasher>
+MultiCrackRequest generic_batch(hash::Algorithm algorithm) {
+  MultiCrackRequest request;
+  request.algorithm = algorithm;
+  request.charset = keyspace::Charset::lower();
+  request.min_length = 1;
+  request.max_length = 3;
+  request.salt = {hash::SaltPosition::kPrefix, "s#"};
+  for (int i = 0; i < 2000; ++i) {
+    request.target_hexes.push_back(
+        Hasher::digest("noise-" + std::to_string(i)).to_hex());
+  }
+  for (const char* key : {"a", "zz", "abc", "qzx", "mm", "zz"}) {
+    request.target_hexes.insert(request.target_hexes.begin() + 300,
+                                Hasher::digest(request.salt.apply(key))
+                                    .to_hex());
+  }
+  auto decoy = Hasher::digest(request.salt.apply("abc"));
+  decoy.bytes.back() ^= 0x01;
+  request.target_hexes.push_back(decoy.to_hex());
+  return request;
+}
+
+/// multi_crack over a generic batch against a brute-force reference:
+/// every candidate of the space hashed and looked up by hex.
+template <class Hasher>
+void expect_generic_matches_reference(hash::Algorithm algorithm) {
+  const MultiCrackRequest request = generic_batch<Hasher>(algorithm);
+  std::map<std::string, std::string> reference;
+  const keyspace::KeyCodec codec(request.charset,
+                                 keyspace::DigitOrder::kPrefixFastest);
+  const u128 first = keyspace::first_id_of_length(26, request.min_length);
+  std::string key = codec.decode(first);
+  for (u128 i(0); i < keyspace::space_size(26, 1, 3); ++i) {
+    reference[Hasher::digest(request.salt.apply(key)).to_hex()] = key;
+    codec.next_inplace(key);
+  }
+
+  const MultiCrackResult result = multi_crack(request, 2);
+  ASSERT_EQ(result.targets.size(), request.target_hexes.size());
+  std::size_t expected_cracked = 0;
+  for (std::size_t i = 0; i < result.targets.size(); ++i) {
+    const auto it = reference.find(request.target_hexes[i]);
+    const bool expected = it != reference.end();
+    expected_cracked += expected ? 1 : 0;
+    EXPECT_EQ(result.targets[i].found, expected) << i;
+    if (expected) {
+      EXPECT_EQ(result.targets[i].key, it->second) << i;
+    }
+  }
+  EXPECT_EQ(expected_cracked, 6u);
+  EXPECT_EQ(result.cracked, expected_cracked);
+  EXPECT_FALSE(result.targets.back().found);  // the decoy
+}
+
+TEST(MultiSweep, GenericPathMd5MatchesBruteForceReference) {
+  expect_generic_matches_reference<hash::Md5>(hash::Algorithm::kMd5);
+}
+
+TEST(MultiSweep, GenericPathSha1MatchesBruteForceReference) {
+  expect_generic_matches_reference<hash::Sha1>(hash::Algorithm::kSha1);
+}
+
+TEST(MultiSweep, GenericPathRescanSkipsFoundAndRemovedTargets) {
+  const MultiCrackRequest request = generic_batch<hash::Md5>(
+      hash::Algorithm::kMd5);
+  MultiSweeper sweeper(request);
+  const std::string removed = md5_hex(request.salt.apply("qzx"));
+  EXPECT_EQ(sweeper.remove_targets({removed}), 1u);
+
+  // The first pass still reports the removed digest (its snapshot
+  // predates the removal); mark_found turns it away.
+  std::vector<SweepHit> hits;
+  EXPECT_EQ(sweeper.scan(sweeper.space_interval(), hits),
+            sweeper.space_size());
+  std::size_t resolved = 0;
+  for (const SweepHit& h : hits) {
+    resolved += sweeper.mark_found(h.unique_index, h.key).size();
+  }
+  EXPECT_EQ(resolved, 5u);
+
+  // A new digest publishes a snapshot that retires the found and the
+  // removed targets: a rescan reports the new target alone.
+  const TargetAddOutcome out =
+      sweeper.add_targets({md5_hex(request.salt.apply("xyz"))});
+  EXPECT_EQ(out.attached, 1u);
+  hits.clear();
+  EXPECT_EQ(sweeper.scan(sweeper.space_interval(), hits),
+            sweeper.space_size());
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].key, "xyz");
+  EXPECT_EQ(sweeper.mark_found(hits[0].unique_index, hits[0].key),
+            out.slots);
 }
 
 }  // namespace

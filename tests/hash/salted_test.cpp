@@ -10,27 +10,27 @@ namespace {
 
 TEST(Salted, NoSaltIsPlainDigest) {
   const SaltSpec none{};
-  EXPECT_EQ(md5_salted(none, "secret"), Md5::digest("secret"));
-  EXPECT_EQ(sha1_salted(none, "secret"), Sha1::digest("secret"));
+  EXPECT_EQ(Md5::digest(none.apply("secret")), Md5::digest("secret"));
+  EXPECT_EQ(Sha1::digest(none.apply("secret")), Sha1::digest("secret"));
 }
 
 TEST(Salted, PrefixSaltConcatenatesInFront) {
   const SaltSpec spec{SaltPosition::kPrefix, "NaCl"};
   EXPECT_EQ(spec.apply("pw"), "NaClpw");
-  EXPECT_EQ(md5_salted(spec, "pw"), Md5::digest("NaClpw"));
+  EXPECT_EQ(Md5::digest(spec.apply("pw")), Md5::digest("NaClpw"));
 }
 
 TEST(Salted, SuffixSaltConcatenatesBehind) {
   const SaltSpec spec{SaltPosition::kSuffix, "NaCl"};
   EXPECT_EQ(spec.apply("pw"), "pwNaCl");
-  EXPECT_EQ(sha1_salted(spec, "pw"), Sha1::digest("pwNaCl"));
+  EXPECT_EQ(Sha1::digest(spec.apply("pw")), Sha1::digest("pwNaCl"));
 }
 
 TEST(Salted, DifferentSaltsChangeTheDigest) {
   // The property that defeats precomputed tables (paper Section I).
   const SaltSpec a{SaltPosition::kSuffix, "salt-a"};
   const SaltSpec b{SaltPosition::kSuffix, "salt-b"};
-  EXPECT_NE(md5_salted(a, "hunter2"), md5_salted(b, "hunter2"));
+  EXPECT_NE(Md5::digest(a.apply("hunter2")), Md5::digest(b.apply("hunter2")));
 }
 
 TEST(Salted, ExtraLengthReportsSaltBytes) {
@@ -41,7 +41,7 @@ TEST(Salted, ExtraLengthReportsSaltBytes) {
 
 TEST(Salted, EmptySaltStringBehavesLikePlain) {
   const SaltSpec spec{SaltPosition::kSuffix, ""};
-  EXPECT_EQ(md5_salted(spec, "k"), Md5::digest("k"));
+  EXPECT_EQ(Md5::digest(spec.apply("k")), Md5::digest("k"));
 }
 
 }  // namespace

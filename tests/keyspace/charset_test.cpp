@@ -55,6 +55,14 @@ TEST(Charset, EqualityComparesContentAndOrder) {
   EXPECT_NE(Charset("abc"), Charset("acb"));
 }
 
+TEST(Charset, ByNameResolvesTheCommandLineSpellings) {
+  EXPECT_EQ(Charset::by_name("lower"), Charset::lower());
+  EXPECT_EQ(Charset::by_name("alnum"), Charset::alphanumeric());
+  EXPECT_EQ(Charset::by_name("printable"), Charset::printable());
+  EXPECT_EQ(Charset::by_name("custom:xyz"), Charset("xyz"));
+  EXPECT_THROW(Charset::by_name("hex"), InvalidArgument);
+}
+
 TEST(Charset, HandlesHighBitCharacters) {
   const Charset cs("\xe0\xe1");
   EXPECT_EQ(cs.size(), 2u);

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "keyspace/charset.h"
 #include "service/job.h"
 #include "support/error.h"
 
@@ -37,19 +38,6 @@ struct BatchJob {
   std::optional<double> cancel_after;
   std::vector<TimedMutation> mutations;
 };
-
-inline keyspace::Charset charset_by_name(const std::string& name) {
-  if (name == "lower") return keyspace::Charset::lower();
-  if (name == "upper") return keyspace::Charset::upper();
-  if (name == "digits") return keyspace::Charset::digits();
-  if (name == "alpha") return keyspace::Charset::alpha();
-  if (name == "alnum") return keyspace::Charset::alphanumeric();
-  if (name == "printable") return keyspace::Charset::printable();
-  if (name.rfind("custom:", 0) == 0) {
-    return keyspace::Charset(name.substr(7));
-  }
-  throw InvalidArgument("unknown charset: " + name);
-}
 
 inline std::vector<std::string> split_hashes(const std::string& list) {
   std::vector<std::string> hexes;
@@ -107,7 +95,7 @@ inline BatchJob parse_batch_line(const std::string& line,
         job.spec.request.target_hexes.push_back(std::move(hex));
       }
     } else if (key == "charset") {
-      job.spec.request.charset = charset_by_name(value);
+      job.spec.request.charset = keyspace::Charset::by_name(value);
     } else if (key == "min") {
       job.spec.request.min_length = static_cast<unsigned>(std::stoul(value));
     } else if (key == "max") {

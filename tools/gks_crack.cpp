@@ -32,6 +32,7 @@
 
 #include "core/generator_crack.h"
 #include "core/multi_crack.h"
+#include "keyspace/charset.h"
 #include "keyspace/dictionary.h"
 #include "keyspace/keyspace_generator.h"
 #include "keyspace/markov.h"
@@ -70,19 +71,6 @@ struct Options {
                "see the header of tools/gks_crack.cpp for all options\n",
                argv0, argv0);
   std::exit(2);
-}
-
-keyspace::Charset charset_by_name(const std::string& name) {
-  if (name == "lower") return keyspace::Charset::lower();
-  if (name == "upper") return keyspace::Charset::upper();
-  if (name == "digits") return keyspace::Charset::digits();
-  if (name == "alpha") return keyspace::Charset::alpha();
-  if (name == "alnum") return keyspace::Charset::alphanumeric();
-  if (name == "printable") return keyspace::Charset::printable();
-  if (name.rfind("custom:", 0) == 0) {
-    return keyspace::Charset(name.substr(7));
-  }
-  throw InvalidArgument("unknown charset: " + name);
 }
 
 Options parse(int argc, char** argv) {
@@ -227,7 +215,7 @@ int main(int argc, char** argv) {
 
     if (opt.markov_corpus) {
       const keyspace::MarkovOrderedGenerator markov(
-          charset_by_name(opt.charset_name), opt.max_length,
+          keyspace::Charset::by_name(opt.charset_name), opt.max_length,
           load_words(*opt.markov_corpus));
       if (!opt.json) {
         std::printf("markov-ordered search: %s candidates of length %u, "
@@ -285,7 +273,7 @@ int main(int argc, char** argv) {
     core::MultiCrackRequest request;
     request.algorithm = opt.algorithm;
     request.target_hexes = opt.hashes;
-    request.charset = charset_by_name(opt.charset_name);
+    request.charset = keyspace::Charset::by_name(opt.charset_name);
     request.min_length = opt.min_length;
     request.max_length = opt.max_length;
     request.salt = opt.salt;
