@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "hash/md5_crack.h"
 #include "keyspace/codec.h"
 #include "keyspace/space.h"
@@ -63,5 +66,22 @@ void BM_Word0IteratorAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Word0IteratorAdvance);
+
+void BM_Word0IteratorBlockFill(benchmark::State& state) {
+  // What a 16-lane kernel block runs instead: one in-line fill of all
+  // 16 word-0 lanes, advance() called only on a first-character carry.
+  const std::string cs =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  gks::hash::PrefixWord0Iterator it({cs.data(), cs.size()}, 4, 8, false);
+  std::array<std::uint32_t, 16> words;
+  for (auto _ : state) {
+    it.next_words(words.data(), words.size());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK(BM_Word0IteratorBlockFill);
 
 }  // namespace

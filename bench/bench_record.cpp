@@ -2,6 +2,7 @@
 
 #include <stdio.h>
 
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 
@@ -61,7 +62,12 @@ std::string Recording::git_rev() {
   while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
     rev.pop_back();
   }
-  return status == 0 && !rev.empty() ? rev : "unknown";
+  if (status != 0 || rev.empty()) return "unknown";
+  // Numbers measured on uncommitted changes must not pass for HEAD's.
+  if (std::system("git diff --quiet HEAD -- 2>/dev/null") != 0) {
+    rev += "+dirty";
+  }
+  return rev;
 }
 
 std::string Recording::utc_now() {

@@ -14,7 +14,7 @@ namespace gks::bench {
 ///   {
 ///     "schema_version": 1,
 ///     "bench": "<name>",
-///     "git_rev": "<short rev, or "unknown" outside a work tree>",
+///     "git_rev": "<short rev, +dirty if uncommitted, or "unknown">",
 ///     "date": "<UTC, YYYY-MM-DDTHH:MM:SSZ>",
 ///     "entries": [ {...}, {...} ]
 ///   }
@@ -39,8 +39,9 @@ class Recording {
   /// I/O failure.
   void write(const std::string& path) const;
 
-  /// `git rev-parse --short HEAD`, or "unknown" when git or the work
-  /// tree is unavailable.
+  /// `git rev-parse --short HEAD`, with "+dirty" appended when tracked
+  /// files differ from HEAD, or "unknown" when git or the work tree is
+  /// unavailable.
   static std::string git_rev();
   /// The current UTC time, ISO-8601 with a Z suffix.
   static std::string utc_now();

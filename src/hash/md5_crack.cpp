@@ -42,33 +42,13 @@ bool Md5CrackContext::test(std::uint32_t m0) const {
 
   // Steps 45..48 with early exit. The value produced at step 45 lands
   // in register a of the after-step-48 state, 46 in d, 47 in c, 48 in b.
-  std::uint32_t a = s.a, b = s.b, c = s.c, d = s.d;
-  const auto step = [&m](unsigned i, std::uint32_t va, std::uint32_t vb,
-                         std::uint32_t vc, std::uint32_t vd) {
-    return vb + rotl(va + md5_round_fn(i, vb, vc, vd) + m[md5_msg_index(i)] +
-                         kMd5K[i],
-                     kMd5S[i]);
-  };
-
-  const std::uint32_t t45 = step(45, a, b, c, d);
+  const std::uint32_t t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
   if (t45 != reverted_.a) return false;
-  std::uint32_t na = d, nb = t45, nc = b, nd = c;
-
-  const std::uint32_t t46 = step(46, na, nb, nc, nd);
+  const std::uint32_t t46 = md5_step(46, s.d, t45, s.b, s.c, m);
   if (t46 != reverted_.d) return false;
-  a = nd;
-  b = t46;
-  c = nb;
-  d = nc;
-
-  const std::uint32_t t47 = step(47, a, b, c, d);
+  const std::uint32_t t47 = md5_step(47, s.c, t46, t45, s.b, m);
   if (t47 != reverted_.c) return false;
-  na = d;
-  nb = t47;
-  nc = b;
-  nd = c;
-
-  const std::uint32_t t48 = step(48, na, nb, nc, nd);
+  const std::uint32_t t48 = md5_step(48, s.b, t47, t46, t45, m);
   return t48 == reverted_.b;
 }
 

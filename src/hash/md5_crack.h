@@ -96,6 +96,16 @@ class PrefixWord0Iterator {
   /// prefix) when all combinations are exhausted.
   bool advance();
 
+  /// Writes the next n word-0 values to out[0..n) and moves past them:
+  /// exactly n word0()/advance() pairs, wrap included. This is how a
+  /// lane kernel fills a block: the first character steps in-line and
+  /// only its carry into the next character calls advance().
+  /// Always inlined: the header is compiled for several ISAs (one per
+  /// lane width), and an out-of-line copy built for one of them could
+  /// be the one the linker keeps for all.
+  [[gnu::always_inline]] inline void next_words(std::uint32_t* out,
+                                                std::size_t n);
+
   unsigned prefix_chars() const { return prefix_chars_; }
 
   /// Total number of distinct prefixes (|charset|^prefix_chars).
@@ -113,6 +123,38 @@ class PrefixWord0Iterator {
   std::size_t key_len_;
   bool big_endian_;
 };
+
+void PrefixWord0Iterator::next_words(std::uint32_t* out, std::size_t n) {
+  // Locals, not members: `out` may alias the iterator's words, so the
+  // compiler would otherwise reload them after every store. Between
+  // carries only the first character's byte changes, so each word is
+  // the other three bytes OR one charset byte, with no chain through
+  // the previous word.
+  const unsigned shift = big_endian_ ? 24u : 0u;
+  const std::uint32_t mask = 0xFFu << shift;
+  const char* const charset = charset_.data();
+  const std::size_t radix = charset_.size();
+  const auto byte = [&](std::uint32_t digit) {
+    return static_cast<std::uint32_t>(
+               static_cast<std::uint8_t>(charset[digit]))
+           << shift;
+  };
+  std::uint32_t rest = word_ & ~mask;
+  std::uint32_t digit = digits_[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = rest | byte(digit);
+    if (++digit == radix) {
+      word_ = out[i];
+      digits_[0] = digit - 1;
+      advance();
+      rest = word_ & ~mask;
+      digit = digits_[0];
+    }
+  }
+  word_ = rest | byte(digit);
+  digits_[0] = digit;
+  chars_[0] = charset[digit];
+}
 
 /// Scans `count` consecutive prefix-major candidates starting at the
 /// iterator's current position; returns the offset of the first match,

@@ -66,18 +66,37 @@ constexpr W md5_round_fn(unsigned step, const W& b, const W& c, const W& d) {
   return c ^ (b | ~d);
 }
 
+/// The value MD5 step i computes from registers (a, b, c, d): the new
+/// b. The caller shifts the registers (a, b, c, d) -> (d, t, b, c).
+template <class W, std::size_t M>
+constexpr W md5_step(unsigned i, const W& a, const W& b, const W& c,
+                     const W& d, const std::array<W, M>& m) {
+  const W f = md5_round_fn(i, b, c, d);
+  return b + rotl(a + f + m[md5_msg_index(i)] + W(kMd5K[i]), kMd5S[i]);
+}
+
 /// Executes steps [0, n_steps) of the MD5 compression function on
 /// `s` given message words `m`. n_steps = 64 is a full compression
 /// (without the final feed-forward addition — see md5_feed_forward).
 /// Running a prefix of the steps is what the optimized crack kernel
 /// does (49 forward steps against a 15-step-reverted target).
+///
+/// The loop must unroll completely (docs/simd.md, "Codegen"): with a
+/// constant step index every rotate is one constant-amount op, the
+/// round function is fixed at compile time, and zero message words
+/// fold away. GCC keeps a 45-step loop rolled without the pragma.
+/// `flatten` keeps every step's calls inline: once the unrolled body is
+/// large, GCC otherwise calls md5_round_fn out of line, with the step
+/// index a run-time argument again (it did for the array-based Lane
+/// words of the -DGKS_SIMD=OFF build).
 template <class W, std::size_t M>
-constexpr void md5_forward_steps(Md5State<W>& s, const std::array<W, M>& m,
-                                 unsigned n_steps = 64) {
+[[gnu::flatten]] constexpr void md5_forward_steps(Md5State<W>& s,
+                                                  const std::array<W, M>& m,
+                                                  unsigned n_steps = 64) {
   W a = s.a, b = s.b, c = s.c, d = s.d;
+#pragma GCC unroll 64
   for (unsigned i = 0; i < n_steps; ++i) {
-    const W f = md5_round_fn(i, b, c, d);
-    const W t = b + rotl(a + f + m[md5_msg_index(i)] + W(kMd5K[i]), kMd5S[i]);
+    const W t = md5_step(i, a, b, c, d, m);
     a = d;
     d = c;
     c = b;
@@ -120,8 +139,10 @@ constexpr Md5State<W> md5_single_block(const std::array<W, M>& m) {
 /// four characters can revert the target once and compare 15 steps
 /// early.
 template <class W>
-inline void md5_reverse_steps(Md5State<W>& s, const std::array<W, 16>& m,
-                              unsigned to_step) {
+[[gnu::flatten]] inline void md5_reverse_steps(Md5State<W>& s,
+                                               const std::array<W, 16>& m,
+                                               unsigned to_step) {
+#pragma GCC unroll 64
   for (unsigned i = 63; i + 1 > to_step; --i) {
     // Forward step i mapped (a,b,c,d) -> (d, bnew, b, c); undo it.
     const W a_out = s.a, b_out = s.b, c_out = s.c, d_out = s.d;

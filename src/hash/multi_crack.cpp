@@ -115,20 +115,13 @@ bool Md5MultiContext::confirm(const std::array<std::uint32_t, 16>& m,
                               const Md5State<std::uint32_t>& s45,
                               std::uint32_t t45,
                               const Md5State<std::uint32_t>& r) const {
-  const auto step = [&m](unsigned i, std::uint32_t va, std::uint32_t vb,
-                         std::uint32_t vc, std::uint32_t vd) {
-    return vb + rotl(va + md5_round_fn(i, vb, vc, vd) + m[md5_msg_index(i)] +
-                         kMd5K[i],
-                     kMd5S[i]);
-  };
   // Finish steps 46..48 and verify the remaining three registers (the
   // index already established r.a == t45).
-  const std::uint32_t a = s45.d, b = t45, c = s45.b, d = s45.c;
-  const std::uint32_t t46 = step(46, a, b, c, d);
+  const std::uint32_t t46 = md5_step(46, s45.d, t45, s45.b, s45.c, m);
   if (t46 != r.d) return false;
-  const std::uint32_t t47 = step(47, d, t46, b, c);
+  const std::uint32_t t47 = md5_step(47, s45.c, t46, t45, s45.b, m);
   if (t47 != r.c) return false;
-  const std::uint32_t t48 = step(48, c, t47, t46, b);
+  const std::uint32_t t48 = md5_step(48, s45.b, t47, t46, t45, m);
   return t48 == r.b;
 }
 
@@ -141,10 +134,7 @@ std::size_t Md5MultiContext::test(std::uint32_t m0) const {
   md5_forward_steps(s, m, 45);
 
   // One early-exit value, one filter load — target count never enters.
-  const std::uint32_t t45 =
-      s.b + rotl(s.a + md5_round_fn(45, s.b, s.c, s.d) +
-                     m[md5_msg_index(45)] + kMd5K[45],
-                 kMd5S[45]);
+  const std::uint32_t t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
   if (!index_.may_match(t45)) return npos;
 
   // Rare path: every target whose reverted word matches is confirmed —
@@ -165,10 +155,7 @@ void Md5MultiContext::test_hits(std::uint32_t m0, std::uint64_t offset,
   Md5State<std::uint32_t> s{kMd5Init[0], kMd5Init[1], kMd5Init[2],
                             kMd5Init[3]};
   md5_forward_steps(s, m, 45);
-  const std::uint32_t t45 =
-      s.b + rotl(s.a + md5_round_fn(45, s.b, s.c, s.d) +
-                     m[md5_msg_index(45)] + kMd5K[45],
-                 kMd5S[45]);
+  const std::uint32_t t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
   if (!index_.may_match(t45)) return;
   confirm_hits(m0, s, t45, offset, out);
 }
@@ -202,54 +189,33 @@ Sha1MultiContext::Sha1MultiContext(const std::vector<Sha1Digest>& targets,
 }
 
 bool Sha1MultiContext::confirm(std::array<std::uint32_t, 16> ring,
-                               std::uint32_t a, std::uint32_t b,
-                               std::uint32_t c, std::uint32_t d,
-                               std::uint32_t e,
+                               Sha1State<std::uint32_t> s,
                                const Sha1State<std::uint32_t>& u) const {
   // Steps 76..79 on private copies of the ring and registers, so one
   // confirm cannot corrupt the state another colliding target needs.
-  const auto advance = [&](unsigned t, std::uint32_t wt) {
-    const std::uint32_t f = sha1_round_fn(t, b, c, d);
-    const std::uint32_t temp = rotl(a, 5) + f + e + wt + kSha1K[t / 20];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-  advance(76, sha1_expand(ring, 76));
-  if (rotl(a, 30) != u.d) return false;
-  advance(77, sha1_expand(ring, 77));
-  if (rotl(a, 30) != u.c) return false;
-  advance(78, sha1_expand(ring, 78));
-  if (a != u.b) return false;
-  advance(79, sha1_expand(ring, 79));
-  return a == u.a;
+  sha1_step(s, 76, sha1_expand(ring, 76));
+  if (rotl(s.a, 30) != u.d) return false;
+  sha1_step(s, 77, sha1_expand(ring, 77));
+  if (rotl(s.a, 30) != u.c) return false;
+  sha1_step(s, 78, sha1_expand(ring, 78));
+  if (s.a != u.b) return false;
+  sha1_step(s, 79, sha1_expand(ring, 79));
+  return s.a == u.a;
 }
 
 std::size_t Sha1MultiContext::test(std::uint32_t w0) const {
   std::array<std::uint32_t, 16> ring = m_;
   ring[0] = w0;
 
-  std::uint32_t a = kSha1Init[0], b = kSha1Init[1], c = kSha1Init[2],
-                d = kSha1Init[3], e = kSha1Init[4];
-  const auto advance = [&](unsigned t, std::uint32_t wt) {
-    const std::uint32_t f = sha1_round_fn(t, b, c, d);
-    const std::uint32_t temp = rotl(a, 5) + f + e + wt + kSha1K[t / 20];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-  for (unsigned t = 0; t < 16; ++t) advance(t, ring[t]);
-  for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
+  Sha1State<std::uint32_t> s{kSha1Init[0], kSha1Init[1], kSha1Init[2],
+                             kSha1Init[3], kSha1Init[4]};
+  sha1_ring_steps(s, ring, 76);
 
-  const std::uint32_t check = rotl(a, 30);
+  const std::uint32_t check = rotl(s.a, 30);
   if (!index_.may_match(check)) return npos;
   const auto slots = index_.matches(check);
   for (const std::uint32_t slot : slots) {
-    if (confirm(ring, a, b, c, d, e, unfed_[slot])) return slot;
+    if (confirm(ring, s, unfed_[slot])) return slot;
   }
   if (!slots.empty()) index_.note_false_positive();
   return npos;
@@ -260,36 +226,25 @@ void Sha1MultiContext::test_hits(std::uint32_t w0, std::uint64_t offset,
   std::array<std::uint32_t, 16> ring = m_;
   ring[0] = w0;
 
-  std::uint32_t a = kSha1Init[0], b = kSha1Init[1], c = kSha1Init[2],
-                d = kSha1Init[3], e = kSha1Init[4];
-  const auto advance = [&](unsigned t, std::uint32_t wt) {
-    const std::uint32_t f = sha1_round_fn(t, b, c, d);
-    const std::uint32_t temp = rotl(a, 5) + f + e + wt + kSha1K[t / 20];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-  for (unsigned t = 0; t < 16; ++t) advance(t, ring[t]);
-  for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
+  Sha1State<std::uint32_t> s{kSha1Init[0], kSha1Init[1], kSha1Init[2],
+                             kSha1Init[3], kSha1Init[4]};
+  sha1_ring_steps(s, ring, 76);
 
-  const std::uint32_t check = rotl(a, 30);
+  const std::uint32_t check = rotl(s.a, 30);
   if (!index_.may_match(check)) return;
-  confirm_hits(ring, a, b, c, d, e, offset, out);
+  confirm_hits(ring, s, offset, out);
 }
 
 void Sha1MultiContext::confirm_hits(const std::array<std::uint32_t, 16>& ring,
-                                    std::uint32_t a, std::uint32_t b,
-                                    std::uint32_t c, std::uint32_t d,
-                                    std::uint32_t e, std::uint64_t offset,
+                                    const Sha1State<std::uint32_t>& s76,
+                                    std::uint64_t offset,
                                     std::vector<MultiHit>& out) const {
-  const std::uint32_t check = rotl(a, 30);
+  const std::uint32_t check = rotl(s76.a, 30);
   const auto slots = index_.matches(check);
   if (slots.empty()) return;
   const std::size_t before = out.size();
   for (const std::uint32_t slot : slots) {
-    if (confirm(ring, a, b, c, d, e, unfed_[slot])) {
+    if (confirm(ring, s76, unfed_[slot])) {
       out.push_back({offset, slot});
     }
   }

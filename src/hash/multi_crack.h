@@ -110,12 +110,11 @@ class Sha1MultiContext {
                  std::vector<MultiHit>& out) const;
 
   /// Filter-hit resolution from precomputed state: `ring` holds the last
-  /// 16 schedule words and a..e the registers, both as of step 76 (after
-  /// 76 steps, before step 76's expansion). Appends exactly what
+  /// 16 schedule words and `s76` the registers, both as of step 76
+  /// (after 76 steps, before step 76's expansion). Appends exactly what
   /// test_hits(w0, ...) would without redoing the 76 steps.
   void confirm_hits(const std::array<std::uint32_t, 16>& ring,
-                    std::uint32_t a, std::uint32_t b, std::uint32_t c,
-                    std::uint32_t d, std::uint32_t e, std::uint64_t offset,
+                    const Sha1State<std::uint32_t>& s76, std::uint64_t offset,
                     std::vector<MultiHit>& out) const;
 
   std::size_t target_count() const { return unfed_.size(); }
@@ -124,9 +123,9 @@ class Sha1MultiContext {
   const TargetIndex& index() const { return index_; }
 
  private:
-  bool confirm(std::array<std::uint32_t, 16> ring, std::uint32_t a,
-               std::uint32_t b, std::uint32_t c, std::uint32_t d,
-               std::uint32_t e, const Sha1State<std::uint32_t>& unfed) const;
+  bool confirm(std::array<std::uint32_t, 16> ring,
+               Sha1State<std::uint32_t> s76,
+               const Sha1State<std::uint32_t>& unfed) const;
 
   std::array<std::uint32_t, 16> m_{};
   std::vector<Sha1State<std::uint32_t>> unfed_;

@@ -32,36 +32,24 @@ bool Sha1CrackContext::test(std::uint32_t w0) const {
   std::array<std::uint32_t, 16> ring = m_;
   ring[0] = w0;
 
-  std::uint32_t a = kSha1Init[0], b = kSha1Init[1], c = kSha1Init[2],
-                d = kSha1Init[3], e = kSha1Init[4];
-
-  const auto advance = [&](unsigned t, std::uint32_t wt) {
-    const std::uint32_t f = sha1_round_fn(t, b, c, d);
-    const std::uint32_t temp = rotl(a, 5) + f + e + wt + kSha1K[t / 20];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-
-  for (unsigned t = 0; t < 16; ++t) advance(t, ring[t]);
-  for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
+  Sha1State<std::uint32_t> s{kSha1Init[0], kSha1Init[1], kSha1Init[2],
+                             kSha1Init[3], kSha1Init[4]};
+  sha1_ring_steps(s, ring, 76);
 
   // Early exit: the value produced at step 75 (now in register `a`,
   // about to be rotated into position) settles into the final state's e
   // after the remaining four register shuffles; likewise 76 -> d,
   // 77 -> c, 78 -> b, 79 -> a. Each comparison usually fails on the
   // first check, skipping four steps and their expansion work.
-  if (rotl(a, 30) != unfed_.e) return false;
-  advance(76, sha1_expand(ring, 76));
-  if (rotl(a, 30) != unfed_.d) return false;
-  advance(77, sha1_expand(ring, 77));
-  if (rotl(a, 30) != unfed_.c) return false;
-  advance(78, sha1_expand(ring, 78));
-  if (a != unfed_.b) return false;
-  advance(79, sha1_expand(ring, 79));
-  return a == unfed_.a;
+  if (rotl(s.a, 30) != unfed_.e) return false;
+  sha1_step(s, 76, sha1_expand(ring, 76));
+  if (rotl(s.a, 30) != unfed_.d) return false;
+  sha1_step(s, 77, sha1_expand(ring, 77));
+  if (rotl(s.a, 30) != unfed_.c) return false;
+  sha1_step(s, 78, sha1_expand(ring, 78));
+  if (s.a != unfed_.b) return false;
+  sha1_step(s, 79, sha1_expand(ring, 79));
+  return s.a == unfed_.a;
 }
 
 bool Sha1CrackContext::test_plain(std::uint32_t w0) const {

@@ -44,25 +44,45 @@ constexpr W sha1_expand(std::array<W, 16>& ring, unsigned t) {
   return w;
 }
 
-/// Executes steps [0, n_steps) of SHA1 compression on `s`. The message
-/// block `m` is copied into a ring that is expanded in place, so `m`
-/// itself is not modified. No feed-forward (see sha1_feed_forward).
+/// One SHA1 step t on `s` with schedule word `wt`.
+template <class W>
+constexpr void sha1_step(Sha1State<W>& s, unsigned t, const W& wt) {
+  const W f = sha1_round_fn(t, s.b, s.c, s.d);
+  const W temp = rotl(s.a, 5) + f + s.e + wt + W(kSha1K[t / 20]);
+  s.e = s.d;
+  s.d = s.c;
+  s.c = rotl(s.b, 30);
+  s.b = s.a;
+  s.a = temp;
+}
+
+/// Executes steps [0, n_steps) of SHA1 compression on `s`, expanding
+/// the schedule in place: `ring` holds the message block on entry and
+/// the 16 most recent schedule words on return, which is what a caller
+/// that stops early needs to finish the remaining steps. No
+/// feed-forward (see sha1_feed_forward).
+///
+/// The loop must unroll completely (docs/simd.md, "Codegen"): with a
+/// constant step index every rotate is one constant-amount op and the
+/// round function and constant are fixed at compile time. `flatten`
+/// keeps every step's calls inline, as in md5_forward_steps.
+template <class W>
+[[gnu::flatten]] constexpr void sha1_ring_steps(Sha1State<W>& s,
+                                                std::array<W, 16>& ring,
+                                                unsigned n_steps) {
+#pragma GCC unroll 80
+  for (unsigned t = 0; t < n_steps; ++t) {
+    sha1_step(s, t, t < 16 ? ring[t] : sha1_expand(ring, t));
+  }
+}
+
+/// sha1_ring_steps on a private copy of the message block, so `m`
+/// itself is not modified.
 template <class W>
 constexpr void sha1_forward_steps(Sha1State<W>& s, const std::array<W, 16>& m,
                                   unsigned n_steps = 80) {
   std::array<W, 16> ring = m;
-  W a = s.a, b = s.b, c = s.c, d = s.d, e = s.e;
-  for (unsigned t = 0; t < n_steps; ++t) {
-    const W wt = t < 16 ? ring[t] : sha1_expand(ring, t);
-    const W f = sha1_round_fn(t, b, c, d);
-    const W temp = rotl(a, 5) + f + e + wt + W(kSha1K[t / 20]);
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  }
-  s = {a, b, c, d, e};
+  sha1_ring_steps(s, ring, n_steps);
 }
 
 /// RFC 3174 feed-forward addition of the initial state.

@@ -18,6 +18,10 @@
 
 #include "hash/lane.h"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #if defined(GKS_SIMD_PORTABLE) || !(defined(__GNUC__) || defined(__clang__))
 #define GKS_SIMD_HAVE_VECTOR_EXT 0
 #else
@@ -106,14 +110,38 @@ inline void lane_store(const LaneVec<N>& a, std::uint32_t* out) {
   __builtin_memcpy(out, &a.v, N * sizeof(std::uint32_t));
 }
 
-/// Movemask-style test: does any lane equal `s`? One vector compare
-/// (lanes become all-ones/all-zeros), then an OR-reduction the compiler
-/// folds into ptest/vptest/kortest.
+/// Fill all N lanes from in[0..N): one vector load, where N lane_set
+/// calls would insert lane by lane.
+template <std::size_t N>
+inline LaneVec<N> lane_load(const std::uint32_t* in) {
+  LaneVec<N> a;
+  __builtin_memcpy(&a.v, in, N * sizeof(std::uint32_t));
+  return a;
+}
+
+/// Does any lane equal `s`? One vector compare. With AVX-512 (F at 16
+/// lanes, VL at 8) the compare writes a mask register and one kortest
+/// reads it. Elsewhere the compare's lanes are ORed together; GCC 12
+/// lowers that OR to a chain of lane extracts, not to one test.
 template <std::size_t N>
 inline bool any_lane_eq(const LaneVec<N>& a, std::uint32_t s) {
-  const auto m = a.v == (typename LaneVec<N>::Vec{} + s);
+  using Vec = typename LaneVec<N>::Vec;
+  const Vec splat = Vec{} + s;
+#if defined(__AVX512F__)
+  if constexpr (N == 16) {
+    return _mm512_cmpeq_epi32_mask(reinterpret_cast<__m512i>(a.v),
+                                   reinterpret_cast<__m512i>(splat)) != 0;
+  }
+#endif
+#if defined(__AVX512VL__)
+  if constexpr (N == 8) {
+    return _mm256_cmpeq_epi32_mask(reinterpret_cast<__m256i>(a.v),
+                                   reinterpret_cast<__m256i>(splat)) != 0;
+  }
+#endif
+  const auto eq = a.v == splat;  // each lane all-ones or all-zeros
   std::int32_t any = 0;
-  for (std::size_t i = 0; i < N; ++i) any |= m[i];
+  for (std::size_t i = 0; i < N; ++i) any |= eq[i];
   return any != 0;
 }
 
@@ -135,6 +163,13 @@ inline void lane_set(LaneVec<N>& a, std::size_t i, std::uint32_t x) {
 template <std::size_t N>
 inline void lane_store(const LaneVec<N>& a, std::uint32_t* out) {
   for (std::size_t i = 0; i < N; ++i) out[i] = a[i];
+}
+
+template <std::size_t N>
+inline LaneVec<N> lane_load(const std::uint32_t* in) {
+  LaneVec<N> a;
+  for (std::size_t i = 0; i < N; ++i) a[i] = in[i];
+  return a;
 }
 
 template <std::size_t N>

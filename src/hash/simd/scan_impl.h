@@ -52,11 +52,8 @@ std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
     // Keep the block's start so a hit can reposition the iterator to
     // the candidate after the match, exactly like the scalar scanner.
     const PrefixWord0Iterator block_start = it;
-    for (std::size_t l = 0; l < N; ++l) {
-      word0s[l] = it.word0();
-      it.advance();
-    }
-    for (std::size_t l = 0; l < N; ++l) lane_set(m[0], l, word0s[l]);
+    it.next_words(word0s.data(), N);
+    m[0] = lane_load<N>(word0s.data());
 
     Md5State<W> s{W(kMd5Init[0]), W(kMd5Init[1]), W(kMd5Init[2]),
                   W(kMd5Init[3])};
@@ -65,9 +62,7 @@ std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
     // The value produced at step 45 settles into register a of the
     // after-step-48 state, so comparing it against the reverted
     // target's a rejects the whole block without steps 46..48.
-    const W f45 = md5_round_fn(45, s.b, s.c, s.d);
-    const W t45 =
-        s.b + rotl(s.a + f45 + m[md5_msg_index(45)] + W(kMd5K[45]), kMd5S[45]);
+    const W t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
     if (any_lane_eq(t45, rev.a)) {
       for (std::size_t l = 0; l < N; ++l) {
         if (ctx.test(word0s[l])) {
@@ -102,11 +97,8 @@ std::optional<std::uint64_t> sha1_scan_prefixes_vec(
   std::array<std::uint32_t, N> word0s;
   while (count - scanned >= N) {
     const PrefixWord0Iterator block_start = it;
-    for (std::size_t l = 0; l < N; ++l) {
-      word0s[l] = it.word0();
-      it.advance();
-    }
-    for (std::size_t l = 0; l < N; ++l) lane_set(m[0], l, word0s[l]);
+    it.next_words(word0s.data(), N);
+    m[0] = lane_load<N>(word0s.data());
 
     Sha1State<W> s{W(kSha1Init[0]), W(kSha1Init[1]), W(kSha1Init[2]),
                    W(kSha1Init[3]), W(kSha1Init[4])};
@@ -175,18 +167,13 @@ void md5_multi_scan_vec(const Md5MultiContext& ctx, PrefixWord0Iterator& it,
   std::uint64_t scanned = 0;
   std::array<std::uint32_t, N> word0s;
   while (count - scanned >= N) {
-    for (std::size_t l = 0; l < N; ++l) {
-      word0s[l] = it.word0();
-      it.advance();
-    }
-    for (std::size_t l = 0; l < N; ++l) lane_set(m[0], l, word0s[l]);
+    it.next_words(word0s.data(), N);
+    m[0] = lane_load<N>(word0s.data());
 
     Md5State<W> s{W(kMd5Init[0]), W(kMd5Init[1]), W(kMd5Init[2]),
                   W(kMd5Init[3])};
     md5_forward_steps(s, m, 45);
-    const W f45 = md5_round_fn(45, s.b, s.c, s.d);
-    const W t45 =
-        s.b + rotl(s.a + f45 + m[md5_msg_index(45)] + W(kMd5K[45]), kMd5S[45]);
+    const W t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
 
     std::uint32_t lanes = filter_hit_lanes(t45, index);
     while (lanes != 0) {
@@ -221,40 +208,28 @@ void sha1_multi_scan_vec(const Sha1MultiContext& ctx, PrefixWord0Iterator& it,
   std::uint64_t scanned = 0;
   std::array<std::uint32_t, N> word0s;
   while (count - scanned >= N) {
-    for (std::size_t l = 0; l < N; ++l) {
-      word0s[l] = it.word0();
-      it.advance();
-    }
-    for (std::size_t l = 0; l < N; ++l) lane_set(m[0], l, word0s[l]);
+    it.next_words(word0s.data(), N);
+    m[0] = lane_load<N>(word0s.data());
 
-    // Open-coded 76 steps (rather than sha1_forward_steps, which keeps
-    // its ring private): confirm_hits needs the schedule ring as of
-    // step 76, and extracting it from vector registers on the rare
-    // filter hit is far cheaper than recomputing 76 scalar steps.
+    // sha1_ring_steps rather than sha1_forward_steps: confirm_hits
+    // needs the schedule ring as of step 76, and extracting it from
+    // vector registers on the rare filter hit is far cheaper than
+    // recomputing 76 scalar steps.
     std::array<W, 16> ring = m;
-    W a = W(kSha1Init[0]), b = W(kSha1Init[1]), c = W(kSha1Init[2]),
-      d = W(kSha1Init[3]), e = W(kSha1Init[4]);
-    const auto advance = [&](unsigned t, const W& wt) {
-      const W f = sha1_round_fn(t, b, c, d);
-      const W temp = rotl(a, 5) + f + e + wt + W(kSha1K[t / 20]);
-      e = d;
-      d = c;
-      c = rotl(b, 30);
-      b = a;
-      a = temp;
-    };
-    for (unsigned t = 0; t < 16; ++t) advance(t, ring[t]);
-    for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
+    Sha1State<W> s{W(kSha1Init[0]), W(kSha1Init[1]), W(kSha1Init[2]),
+                   W(kSha1Init[3]), W(kSha1Init[4])};
+    sha1_ring_steps(s, ring, 76);
 
-    std::uint32_t lanes = filter_hit_lanes(rotl(a, 30), index);
+    std::uint32_t lanes = filter_hit_lanes(rotl(s.a, 30), index);
     while (lanes != 0) {
       const unsigned l = static_cast<unsigned>(std::countr_zero(lanes));
       lanes &= lanes - 1;
       std::array<std::uint32_t, 16> ring_l;
       for (std::size_t k = 0; k < 16; ++k) ring_l[k] = lane_get(ring[k], l);
-      ctx.confirm_hits(ring_l, lane_get(a, l), lane_get(b, l),
-                       lane_get(c, l), lane_get(d, l), lane_get(e, l),
-                       scanned + l, hits);
+      const Sha1State<std::uint32_t> s_l{lane_get(s.a, l), lane_get(s.b, l),
+                                         lane_get(s.c, l), lane_get(s.d, l),
+                                         lane_get(s.e, l)};
+      ctx.confirm_hits(ring_l, s_l, scanned + l, hits);
     }
     scanned += N;
   }

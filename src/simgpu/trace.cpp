@@ -33,6 +33,12 @@ void TracedWord::SymNode::record(std::uint32_t offset) {
   materialized_offsets.push_back(offset);
 }
 
+TracedWord::TracedWord(const TracedWord&) = default;
+TracedWord::TracedWord(TracedWord&&) noexcept = default;
+TracedWord& TracedWord::operator=(const TracedWord&) = default;
+TracedWord& TracedWord::operator=(TracedWord&&) noexcept = default;
+TracedWord::~TracedWord() = default;
+
 TracedWord TracedWord::symbol() {
   TracedWord w(0u);
   w.is_const_ = false;

@@ -79,6 +79,15 @@ class TracedWord {
 
   TracedWord() : TracedWord(0u) {}
 
+  // Out of line on purpose. The hash cores are [[gnu::flatten]], and
+  // flattening inline shared_ptr copies into their unrolled steps took
+  // GCC about 50 s on kernel_profile.cpp, and minutes under ASan.
+  TracedWord(const TracedWord&);
+  TracedWord(TracedWord&&) noexcept;
+  TracedWord& operator=(const TracedWord&);
+  TracedWord& operator=(TracedWord&&) noexcept;
+  ~TracedWord();
+
   /// A runtime input the compiler cannot fold (the candidate word).
   static TracedWord symbol();
 

@@ -380,8 +380,11 @@ TEST(JobService, LocalThreadsAndARemoteHolderShareOneJob) {
 
   // Local scan threads and a lease() caller work the same job through
   // the one dispatch path. A second, unfindable target keeps the job
-  // open until the whole space is swept.
-  JobSpec spec = md5_job("mixed", "mzzz", 4);
+  // open until the whole space is swept. The space is 26^5-sized so
+  // that it lasts: two local threads drain it in tens of milliseconds
+  // (a 26^4 job can be gone before the holder's first lease() call),
+  // while the holder's first lease comes right after submit().
+  JobSpec spec = md5_job("mixed", "mzzzz", 5);
   spec.request.target_hexes.push_back(hash::Md5::digest("0000").to_hex());
   const u128 space = core::MultiSweeper(spec.request).space_size();
 
@@ -420,7 +423,7 @@ TEST(JobService, LocalThreadsAndARemoteHolderShareOneJob) {
     EXPECT_EQ(s.scanned, space);
     EXPECT_EQ(s.targets_found, 1u);
     ASSERT_EQ(s.found.size(), 1u);
-    EXPECT_EQ(s.found[0].second, "mzzz");
+    EXPECT_EQ(s.found[0].second, "mzzzz");
     EXPECT_EQ(s.intervals_issued, s.intervals_retired);
     // Both kinds of holder took part.
     EXPECT_GT(remote_leases, 0u);
@@ -433,7 +436,7 @@ TEST(JobService, LocalThreadsAndARemoteHolderShareOneJob) {
   EXPECT_EQ(recovered[0].journaled, space);
   EXPECT_EQ(recovered[0].scanned.covered(), space);
   ASSERT_EQ(recovered[0].found.size(), 1u);  // journaled exactly once
-  EXPECT_EQ(recovered[0].found[0].second, "mzzz");
+  EXPECT_EQ(recovered[0].found[0].second, "mzzzz");
   fs::remove(journal);
 }
 

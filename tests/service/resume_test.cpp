@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/multi_sweep.h"
 #include "hash/md5.h"
 #include "keyspace/codec.h"
 #include "keyspace/space.h"
@@ -257,7 +258,7 @@ TEST_F(ResumeTest, ResumeIntoADifferentJournalIsSelfContained) {
 
 TEST_F(ResumeTest, CorruptedMiddleRecordQuarantinesAndResumesToCompletion) {
   // The ISSUE-9 acceptance shape: damage one interval record in the
-  // middle of a real killed-run journal, then prove resume quarantines
+  // middle of an unfinished run's journal, then prove resume quarantines
   // it (with position info), re-dispatches the lost interval, and
   // still runs the job to full exactly-once coverage.
   const keyspace::Charset charset = keyspace::Charset::lower();
@@ -276,13 +277,25 @@ TEST_F(ResumeTest, CorruptedMiddleRecordQuarantinesAndResumesToCompletion) {
   spec.request.max_length = 4;
 
   {
+    // Phase 1 journals five intervals through the lease API of a
+    // manager with no local threads, so the journal ends at the same
+    // point whatever the kernel's speed: local threads can finish a
+    // 26^4 job between two polls of wait_for_coverage.
     JobServiceConfig config;
-    config.workers = 2;
-    config.max_quantum = u128(4096);
+    config.local_scan = false;
     config.journal_path = journal_;
     JobManager first(config);
-    const JobId id = first.submit(spec);
-    wait_for_coverage(first, id, u128(20000));
+    first.submit(spec);
+    const core::MultiSweeper sweeper(spec.request);
+    for (int i = 0; i < 5; ++i) {
+      const auto grant = first.lease("phase1#1", u128(4096), 1e9);
+      ASSERT_TRUE(grant.has_value());
+      std::vector<core::SweepHit> hits;
+      const u128 tested = sweeper.scan(grant->interval, hits);
+      ASSERT_EQ(tested, grant->interval.size());
+      ASSERT_TRUE(hits.empty());  // the key is the last candidate
+      ASSERT_TRUE(first.retire_lease(grant->lease_id, tested));
+    }
   }
 
   // Corrupt an interval record in the middle of the file by flipping
