@@ -18,7 +18,6 @@
 
 #include "bench_record.h"
 #include "hash/lane.h"
-#include "hash/lane_scan.h"
 #include "hash/simd/dispatch.h"
 #include "hash/md5.h"
 #include "hash/md5_crack.h"
@@ -101,15 +100,16 @@ void BM_Md5ScanPrefixes(benchmark::State& state) {
 BENCHMARK(BM_Md5ScanPrefixes);
 
 void BM_Md5ScanPrefixesLanes(benchmark::State& state) {
-  // The runtime-dispatched SIMD scanner at the widest width the host
-  // can execute — what the CPU backend runs by default.
+  // The SIMD scanner at the width the process picked for MD5 — what
+  // the CPU backend runs.
   const Md5CrackContext ctx(Md5::digest("zzzzzzzz"), "zzzz", 8);
   const std::string cs =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
   PrefixWord0Iterator it({cs.data(), cs.size()}, 4, 8, false);
+  const simd::ScanKernels& k = simd::kernels_for(Algorithm::kMd5);
   const std::uint64_t batch = 4096;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(md5_scan_prefixes_lanes(ctx, it, batch));
+    benchmark::DoNotOptimize(k.md5_scan(ctx, it, batch));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -133,9 +133,10 @@ void BM_Sha1ScanPrefixesLanes(benchmark::State& state) {
   const std::string cs =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
   PrefixWord0Iterator it({cs.data(), cs.size()}, 4, 8, true);
+  const simd::ScanKernels& k = simd::kernels_for(Algorithm::kSha1);
   const std::uint64_t batch = 4096;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sha1_scan_prefixes_lanes(ctx, it, batch));
+    benchmark::DoNotOptimize(k.sha1_scan(ctx, it, batch));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

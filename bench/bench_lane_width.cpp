@@ -1,9 +1,12 @@
 // Lane-width sweep for the runtime-dispatched SIMD scanners: times the
 // scalar engine and every vector width the host can execute (4/8/16)
 // over the same word-0 keyspace slice, for MD5 and SHA1. Prints a
-// human-readable table; --json emits the versioned recording on
-// stdout and --out FILE writes it to FILE (see bench_record.h) so the
-// results can be diffed across hosts and compiler flags.
+// human-readable table, then the width the scan engines run for each
+// algorithm (simd::kernels_for's per-process probe), so the pick can
+// be checked against the measured best. --json emits the versioned
+// recording on stdout and --out FILE writes it to FILE (see
+// bench_record.h) so the results can be diffed across hosts and
+// compiler flags.
 
 #include <cstdio>
 #include <cstring>
@@ -144,6 +147,11 @@ int main(int argc, char** argv) {
                             })});
   }
   emit(rows);
+  for (const Algorithm alg : {Algorithm::kMd5, Algorithm::kSha1}) {
+    const simd::ScanKernels& pick = simd::kernels_for(alg);
+    std::printf("kernels_for(%s): w%u (%s)\n", algorithm_name(alg),
+                pick.width, pick.isa);
+  }
   if (json || !out_path.empty()) emit_recording(rows, json, out_path);
 
   for (const auto& k : simd::compiled_kernels()) {

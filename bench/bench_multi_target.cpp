@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
 
     Stopwatch build_timer;
     const core::MultiSweeper sweeper(std::move(request));
-    sweeper.calibrate();
     const double build_s = build_timer.seconds();
 
     const core::SweepFilterStats before = sweeper.filter_stats();

@@ -46,7 +46,6 @@ double sweep_s(unsigned len, int runs) {
   double best = 0;
   for (int run = 0; run < runs; ++run) {
     core::MultiSweeper sweeper(req);
-    sweeper.calibrate();  // outside the timed region, like the service
     const keyspace::Interval all(
         u128(0),
         keyspace::space_size(req.charset.size(), len, len));
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
       keyspace::space_size(keyspace::Charset::lower().size(), len, len)
           .to_double();
 
-  // Warm up once (kernel calibration, page faults) before either
+  // Warm up once (the lane-width probe, page faults) before either
   // timed mode, then interleave-independent best-of runs per mode.
   obs::set_enabled(false);
   sweep_s(len, 1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "hash/simd/dispatch.h"
 #include "support/stopwatch.h"
 
 namespace gks::core {
@@ -26,10 +27,6 @@ dispatch::ScanOutcome CpuSearcher::scan(const keyspace::Interval& interval) {
   Stopwatch timer;
   dispatch::ScanOutcome total;
   if (interval.empty()) return total;
-
-  // Pin the scalar-vs-lane choice once, before the fan-out, so workers
-  // never race the calibration probe.
-  plan_.calibrate_lane_choice();
 
   // Workers claim chunks off an atomic cursor instead of receiving a
   // static even split: early hash exits and heterogeneous cores make
@@ -72,7 +69,11 @@ dispatch::ScanOutcome CpuSearcher::scan(const keyspace::Interval& interval) {
 
 double CpuSearcher::theoretical_throughput() const {
   if (calibrated_peak_ > 0) return calibrated_peak_;
-  plan_.calibrate_lane_choice();
+  // The process's first fast-path scan runs the lane-width probe
+  // (hash::simd::kernels_for); run it here, outside the timed region.
+  if (plan_.request().algorithm != hash::Algorithm::kSha256) {
+    hash::simd::kernels_for(plan_.request().algorithm);
+  }
   // Calibrate with the whole pool running, not one thread multiplied by
   // size(): SMT siblings and shared caches make N threads slower than
   // N× one thread, and the efficiency denominator should reflect the

@@ -13,9 +13,8 @@ namespace gks::core {
 /// CUDA grid (the paper's future-work target, Section VII). Each scan
 /// is drained by self-scheduled chunk claiming (an atomic cursor over
 /// the interval), every worker running the same word-0 kernel loop a
-/// GPU thread would — by default through the runtime-dispatched SIMD
-/// lane engine, with the scalar-vs-lane choice pinned once by a
-/// measured calibration probe (ScanPlan::calibrate_lane_choice).
+/// GPU thread would — through the SIMD lane width the process picked
+/// for the algorithm (hash::simd::kernels_for).
 class CpuSearcher final : public dispatch::IntervalSearcher {
  public:
   /// `threads` = 0 uses the hardware concurrency.

@@ -37,13 +37,11 @@ MultiCrackResult multi_crack(const MultiCrackRequest& request,
                              std::size_t threads) {
   Stopwatch timer;
 
-  // The sweep engine owns target parsing/dedup, the calibrated
-  // scalar-vs-lane choice, and the per-(length, tail) context cache;
-  // this function is just the whole-space dispatch loop over it (the
-  // job service drives the same engine one scheduler quantum at a
-  // time — see src/service/).
+  // The sweep engine owns target parsing/dedup and the per-(length,
+  // tail) context cache; this function is just the whole-space
+  // dispatch loop over it (the job service drives the same engine one
+  // scheduler quantum at a time — see src/service/).
   MultiSweeper sweeper(request);
-  sweeper.calibrate();
 
   ThreadPool pool(threads);
   keyspace::IntervalCursor cursor(sweeper.space_interval());

@@ -29,13 +29,6 @@ struct MultiCrackRequest {
   unsigned max_length = 8;
   hash::SaltSpec salt;
 
-  /// Toggles the lane-vectorized multi-target scanners. On by default:
-  /// the sweep probes the scalar engine against every lane width the
-  /// host supports (the same calibration the single-target ScanPlan
-  /// runs) and uses the winner. Off forces the scalar engine —
-  /// ablation benches and scalar-vs-lane differential tests.
-  bool lane_scanning = true;
-
   void validate() const;
 };
 

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "hash/md5_crack.h"
 #include "hash/sha1.h"
+#include "hash/simd/dispatch.h"
 #include "keyspace/space.h"
 #include "support/error.h"
 #include "support/hex.h"
@@ -218,71 +219,6 @@ void for_each_chunk(const MultiCrackRequest& request,
   }
 }
 
-/// Picks the fast-path engine — scalar multi scan or one of the lane
-/// widths — by timing each over a short probe of the request's own
-/// keyspace. Returns nullptr for the scalar engine (also when lane
-/// scanning is disabled or the fast path never applies).
-const hash::simd::ScanKernels* calibrate_multi_kernels(
-    const MultiCrackRequest& request,
-    const std::vector<hash::Md5Digest>& md5,
-    const std::vector<hash::Sha1Digest>& sha1,
-    const hash::TargetIndex::Config& index_cfg) {
-  if (!request.lane_scanning) return nullptr;
-
-  std::size_t key_len = 0;
-  for (std::size_t len = request.min_length; len <= request.max_length;
-       ++len) {
-    if (fast_path_applicable(request, len)) {
-      key_len = len;
-      break;
-    }
-  }
-  if (key_len == 0) return nullptr;
-
-  const auto prefix_chars =
-      static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-  const std::string probe_key(key_len, request.charset.chars()[0]);
-  const std::string tail = chunk_tail(request, probe_key);
-  const std::size_t total_len = key_len + request.salt.extra_length();
-  const bool big_endian = request.algorithm == hash::Algorithm::kSha1;
-  const hash::PrefixWord0Iterator start(request.charset.chars(), prefix_chars,
-                                        key_len, big_endian);
-
-  constexpr std::uint64_t kWarmup = 1024;
-  constexpr std::uint64_t kProbe = 8192;
-  std::vector<hash::MultiHit> scratch;
-  // Times the scalar engine and every lane width on one context.
-  const auto race = [&](const auto& ctx, const auto& scalar,
-                        auto hash::simd::ScanKernels::*lane) {
-    const auto measure = [&](const auto& scan) {
-      auto it = start;
-      scratch.clear();
-      scan(ctx, it, kWarmup, scratch);
-      Stopwatch timer;
-      scan(ctx, it, kProbe, scratch);
-      return timer.seconds();
-    };
-    const hash::simd::ScanKernels* winner = nullptr;
-    double best = measure(scalar);
-    for (const auto& k : hash::simd::available_kernels()) {
-      const double t = measure(k.*lane);
-      if (t < best) {
-        best = t;
-        winner = &k;
-      }
-    }
-    return winner;
-  };
-  if (request.algorithm == hash::Algorithm::kMd5) {
-    return race(hash::Md5MultiContext(md5, tail, total_len, index_cfg),
-                hash::md5_multi_scan_prefixes,
-                &hash::simd::ScanKernels::md5_multi_scan);
-  }
-  return race(hash::Sha1MultiContext(sha1, tail, total_len, index_cfg),
-              hash::sha1_multi_scan_prefixes,
-              &hash::simd::ScanKernels::sha1_multi_scan);
-}
-
 }  // namespace
 
 MultiSweeper::MultiSweeper(MultiCrackRequest request)
@@ -358,29 +294,13 @@ std::shared_ptr<const MultiSweeper::Snapshot> MultiSweeper::snapshot() const {
 }
 
 void MultiSweeper::calibrate() const {
-  std::call_once(calibrate_once_, [this] {
-    // Calibration probes the snapshot's digest vectors (immutable) so
-    // a concurrent add_targets cannot reallocate under it; the gate
-    // config matches production, minus the stats sink, so the probe
-    // does not pollute the measured traffic.
-    const std::shared_ptr<const Snapshot> snap = snapshot();
-    auto cfg = index_config();
-    cfg.stats = nullptr;
-    kernels_ = calibrate_multi_kernels(request_, snap->md5, snap->sha1, cfg);
-    if (obs::enabled()) {
-      obs::Registry::global().counter("gks_kernel_calibrations_total")
-          .add(1);
-      obs::Registry::global().gauge("gks_kernel_lane_width")
-          .set(kernels_ != nullptr ? kernels_->width : 1);
-    }
-  });
+  hash::simd::kernels_for(request_.algorithm);
 }
 
 u128 MultiSweeper::scan(const keyspace::Interval& interval,
                         std::vector<SweepHit>& hits,
                         const std::atomic<bool>* interrupt) const {
   if (interval.empty()) return u128(0);
-  calibrate();
   const std::shared_ptr<const Snapshot> snap = snapshot();
   // With nothing outstanding every candidate trivially fails the
   // condition; report the interval as fully tested so completion
@@ -436,7 +356,6 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
           // retired slots; counting the builds makes the cache's bound
           // observable.
           const auto scan_with = [&](auto ctx_type, const auto& digests,
-                                     const auto& scalar,
                                      auto hash::simd::ScanKernels::*lane) {
             using Ctx = typename decltype(ctx_type)::type;
             const auto multi = snap->contexts.get<Ctx>(cache_key, [&] {
@@ -450,20 +369,15 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
                                                  total_len, index_config(),
                                                  snap->retired);
             });
-            if (kernels_ != nullptr) {
-              (kernels_->*lane)(*multi, it, n, found);
-            } else {
-              scalar(*multi, it, n, found);
-            }
+            (hash::simd::kernels_for(request_.algorithm).*lane)(*multi, it,
+                                                                n, found);
           };
           if (request_.algorithm == hash::Algorithm::kMd5) {
             scan_with(std::type_identity<hash::Md5MultiContext>(), snap->md5,
-                      hash::md5_multi_scan_prefixes,
                       &hash::simd::ScanKernels::md5_multi_scan);
           } else {
             scan_with(std::type_identity<hash::Sha1MultiContext>(),
-                      snap->sha1, hash::sha1_multi_scan_prefixes,
-                      &hash::simd::ScanKernels::sha1_multi_scan);
+                      snap->sha1, &hash::simd::ScanKernels::sha1_multi_scan);
           }
           // Context slots ARE unique indices; targets found or removed
           // after this snapshot was published may still surface here

@@ -11,7 +11,6 @@
 
 #include "core/multi_crack.h"
 #include "hash/multi_crack.h"
-#include "hash/simd/dispatch.h"
 #include "keyspace/codec.h"
 #include "keyspace/interval.h"
 #include "support/uint128.h"
@@ -57,9 +56,10 @@ struct TargetAddOutcome {
 ///  - parse + deduplicate the request's digests once (users sharing a
 ///    password share a unique digest; see docs/multi_target.md);
 ///  - scan arbitrary generator-relative intervals against the
-///    *outstanding* targets through the calibrated scalar-or-lane
-///    kernels, with a cooperative interrupt check between tail-block
-///    chunks (the preemption hook the fair-share scheduler relies on);
+///    *outstanding* targets through the lane kernels the process
+///    picked (hash::simd::kernels_for), with a cooperative interrupt
+///    check between tail-block chunks (the preemption hook the
+///    fair-share scheduler relies on);
 ///  - account recoveries (mark_found) and expose per-slot results;
 ///  - mutate the target set while sweeps run (add_targets /
 ///    remove_targets) with generation handoff: mutations publish a new
@@ -83,8 +83,7 @@ struct TargetAddOutcome {
 /// (or removed) digest, which mark_found filters.
 class MultiSweeper {
  public:
-  /// Validates the request and parses the targets. Does not calibrate:
-  /// the first scan (or an explicit calibrate()) does, once.
+  /// Validates the request and parses the targets.
   explicit MultiSweeper(MultiCrackRequest request);
   ~MultiSweeper();
 
@@ -122,8 +121,9 @@ class MultiSweeper {
   }
   bool all_found() const { return outstanding_count() == 0; }
 
-  /// Pins the scalar-vs-lane engine choice with a short measured probe
-  /// (idempotent, thread-safe; scan() triggers it lazily otherwise).
+  /// Runs the process-wide lane-width probe for the request's
+  /// algorithm now (hash::simd::kernels_for) instead of in the first
+  /// fast-path scan. Idempotent and thread-safe.
   void calibrate() const;
 
   /// Scans [interval.begin, interval.end) of generator-relative ids on
@@ -218,8 +218,6 @@ class MultiSweeper {
   u128 offset_;  ///< global codec id of generator-relative id 0
   u128 space_;
 
-  mutable std::once_flag calibrate_once_;
-  mutable const hash::simd::ScanKernels* kernels_ = nullptr;
   mutable hash::TargetIndexStats index_stats_;
   mutable std::atomic<std::uint64_t> context_builds_{0};
 

@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <string>
 
-#include "hash/lane_scan.h"
+#include "hash/simd/dispatch.h"
 #include "keyspace/space.h"
 #include "support/error.h"
 #include "support/stopwatch.h"
 
 namespace gks::core {
-namespace {
-
-/// Drives one scan engine over `count` candidates, consuming hits so an
-/// early return cannot shorten the measured work, and returns the
-/// elapsed seconds. `scan` is any callable with md5_scan_prefixes
-/// semantics bound to a context.
-template <class ScanFn>
-double time_probe(hash::PrefixWord0Iterator it, std::uint64_t count,
-                  const ScanFn& scan) {
-  Stopwatch timer;
-  std::uint64_t remaining = count;
-  while (remaining > 0) {
-    const auto hit = scan(it, remaining);
-    if (!hit) break;
-    remaining -= *hit + 1;
-  }
-  return timer.seconds();
-}
-
-}  // namespace
-
 ScanPlan::ScanPlan(CrackRequest request)
     : request_(std::move(request)),
       codec_(request_.charset, keyspace::DigitOrder::kPrefixFastest),
@@ -50,91 +29,6 @@ u128 ScanPlan::id_of(const std::string& key) const {
               "key length outside the requested range");
   const u128 global = codec_.encode(key);
   return global - offset_;
-}
-
-const hash::simd::ScanKernels* ScanPlan::lane_kernels() const {
-  if (!lanes_enabled_) return nullptr;
-  if (lane_calibrated_.load(std::memory_order_acquire)) {
-    return lane_choice_.load(std::memory_order_relaxed);
-  }
-  return &hash::simd::best_kernels();
-}
-
-const hash::simd::ScanKernels* ScanPlan::calibrate_lane_choice() const {
-  if (!lane_calibrated_.load(std::memory_order_acquire)) {
-    // Representative fast-path key length (the probe is moot when the
-    // fast path never applies — the generic path hashes full keys).
-    std::size_t key_len = 0;
-    for (std::size_t len = request_.min_length; len <= request_.max_length;
-         ++len) {
-      if (fast_path_applicable(len)) {
-        key_len = len;
-        break;
-      }
-    }
-
-    const hash::simd::ScanKernels* winner = nullptr;
-    if (key_len > 0) {
-      const unsigned prefix_chars =
-          static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-      const std::string probe_key(key_len, request_.charset.chars()[0]);
-      std::string tail = key_len > 4 ? probe_key.substr(4) : std::string();
-      if (request_.salt.position == hash::SaltPosition::kSuffix) {
-        tail += request_.salt.salt;
-      }
-      const std::size_t total_len = key_len + request_.salt.extra_length();
-      const bool big_endian = request_.algorithm == hash::Algorithm::kSha1;
-      const hash::PrefixWord0Iterator start(request_.charset.chars(),
-                                            prefix_chars, key_len, big_endian);
-
-      constexpr std::uint64_t kWarmup = 1024;
-      constexpr std::uint64_t kProbe = 8192;
-      // Times one engine: a short warmup pass, then the measured pass.
-      const auto measure = [&](const auto& scan) {
-        time_probe(start, kWarmup, scan);
-        return time_probe(start, kProbe, scan);
-      };
-
-      double best = 0;
-      if (request_.algorithm == hash::Algorithm::kMd5) {
-        const hash::Md5CrackContext ctx(*md5_target_, tail, total_len);
-        best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-          return hash::md5_scan_prefixes(ctx, it, n);
-        });
-        for (const auto& k : hash::simd::available_kernels()) {
-          const double t =
-              measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-                return k.md5_scan(ctx, it, n);
-              });
-          if (t < best) {
-            best = t;
-            winner = &k;
-          }
-        }
-      } else if (request_.algorithm == hash::Algorithm::kSha1) {
-        const hash::Sha1CrackContext ctx(*sha1_target_, tail, total_len);
-        best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-          return hash::sha1_scan_prefixes(ctx, it, n);
-        });
-        for (const auto& k : hash::simd::available_kernels()) {
-          const double t =
-              measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-                return k.sha1_scan(ctx, it, n);
-              });
-          if (t < best) {
-            best = t;
-            winner = &k;
-          }
-        }
-      }
-    }
-    // Concurrent calibrations race benignly: both measure, last store
-    // wins, the flag is released after the choice is visible.
-    lane_choice_.store(winner, std::memory_order_relaxed);
-    lane_calibrated_.store(true, std::memory_order_release);
-  }
-  return lanes_enabled_ ? lane_choice_.load(std::memory_order_relaxed)
-                        : nullptr;
 }
 
 bool ScanPlan::fast_path_applicable(std::size_t key_len) const {
@@ -186,14 +80,12 @@ dispatch::ScanOutcome ScanPlan::scan_fast_chunk(
     out.found.push_back({id, codec_.decode(id + offset_)});
   };
 
-  // Lane engine chosen per chunk: the calibrated (or widest supported)
-  // LaneVec scanner, or nullptr for the scalar early-exit loop.
-  const hash::simd::ScanKernels* lanes = lane_kernels();
+  const hash::simd::ScanKernels& lanes =
+      hash::simd::kernels_for(request_.algorithm);
   if (request_.algorithm == hash::Algorithm::kMd5) {
     const hash::Md5CrackContext ctx(*md5_target_, tail, total_len);
     while (remaining > 0) {
-      const auto hit = lanes ? lanes->md5_scan(ctx, it, remaining)
-                             : hash::md5_scan_prefixes(ctx, it, remaining);
+      const auto hit = lanes.md5_scan(ctx, it, remaining);
       if (!hit) break;
       record_hit(*hit);
       scanned += *hit + 1;
@@ -202,8 +94,7 @@ dispatch::ScanOutcome ScanPlan::scan_fast_chunk(
   } else {
     const hash::Sha1CrackContext ctx(*sha1_target_, tail, total_len);
     while (remaining > 0) {
-      const auto hit = lanes ? lanes->sha1_scan(ctx, it, remaining)
-                             : hash::sha1_scan_prefixes(ctx, it, remaining);
+      const auto hit = lanes.sha1_scan(ctx, it, remaining);
       if (!hit) break;
       record_hit(*hit);
       scanned += *hit + 1;

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <atomic>
 #include <optional>
 
 #include "core/crack_request.h"
 #include "dispatch/search.h"
 #include "hash/md5_crack.h"
 #include "hash/sha1_crack.h"
-#include "hash/simd/dispatch.h"
 #include "keyspace/interval.h"
 
 namespace gks::core {
@@ -22,8 +20,9 @@ namespace gks::core {
 /// tail characters under the prefix-fastest mapping (4) — one crack
 /// context is built and candidates are tested by rewriting message
 /// word 0 only, exactly like a kernel thread applying the `next`
-/// operator (Section IV-A). Everything else falls back to the generic
-/// path: materialize each candidate and hash it fully.
+/// operator (Section IV-A), on the lane width the process picked for
+/// the algorithm (hash::simd::kernels_for). Everything else falls back
+/// to the generic path: materialize each candidate and hash it fully.
 class ScanPlan {
  public:
   explicit ScanPlan(CrackRequest request);
@@ -38,28 +37,6 @@ class ScanPlan {
   /// benches to plant solutions. Throws if outside the key space.
   u128 id_of(const std::string& key) const;
 
-  /// Toggles the lane-vectorized MD5/SHA1 scanners. On by default:
-  /// the explicit LaneVec engine (hash/simd/) beats the scalar
-  /// early-exit loop on any host with real vector units. Disabling
-  /// forces the scalar engine (ablation benches, differential tests).
-  /// Not thread-safe against a concurrent scan().
-  void set_lane_scanning(bool enabled) { lanes_enabled_ = enabled; }
-
-  /// Pins the scalar-vs-lane choice with a short measured probe: times
-  /// the scalar engine against every lane width the host supports over
-  /// this request's own keyspace and caches the winner, which scan()
-  /// then uses for every chunk. Thread-safe and idempotent (the probe
-  /// runs once); returns the cached choice (nullptr = scalar engine).
-  /// CpuSearcher calls this once before fanning out; without it scan()
-  /// defaults to the widest supported width.
-  const hash::simd::ScanKernels* calibrate_lane_choice() const;
-
-  /// The lane engine the next scan() chunk will use (nullptr = scalar):
-  /// the calibrated choice if calibrate_lane_choice() has run, else the
-  /// widest width the host supports, else nullptr when lane scanning is
-  /// disabled.
-  const hash::simd::ScanKernels* lane_kernels() const;
-
  private:
   bool fast_path_applicable(std::size_t key_len) const;
 
@@ -72,9 +49,6 @@ class ScanPlan {
   u128 space_size_;  ///< total candidates
   std::optional<hash::Md5Digest> md5_target_;
   std::optional<hash::Sha1Digest> sha1_target_;
-  bool lanes_enabled_ = true;
-  mutable std::atomic<bool> lane_calibrated_{false};
-  mutable std::atomic<const hash::simd::ScanKernels*> lane_choice_{nullptr};
 };
 
 }  // namespace gks::core

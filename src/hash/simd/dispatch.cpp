@@ -1,9 +1,18 @@
 #include "hash/simd/dispatch.h"
 
+#include <algorithm>
+#include <limits>
+#include <string_view>
 #include <vector>
 
+#include "hash/md5.h"
+#include "hash/md5_crack.h"
+#include "hash/sha1.h"
+#include "hash/sha1_crack.h"
 #include "hash/simd/scan_kernels.h"
+#include "obs/metrics.h"
 #include "support/error.h"
+#include "support/stopwatch.h"
 
 namespace gks::hash::simd {
 namespace {
@@ -93,13 +102,75 @@ const std::vector<ScanKernels>& available_table() {
   return table;
 }
 
+/// The lane-width probe: candidates per pass, and timed rounds. A pass
+/// takes about 12 µs at w16 MD5 on an AVX-512 host and 0.35 ms at the
+/// portable build's w16 SHA1, so the whole probe stays within a few ms
+/// per algorithm (docs/simd.md, "Calibration and scheduling").
+constexpr std::uint64_t kProbeKeys = 2048;
+constexpr int kProbeRounds = 5;
+
+/// Times every available width on `ctx` and returns the fastest. The
+/// rounds interleave the widths after one untimed warm-up round, and
+/// each width keeps its best round, so one preemption or frequency dip
+/// cannot pin a narrower width. The target lies outside the probed
+/// keys, so no pass stops early.
+template <class Ctx, class ScanFn>
+const ScanKernels& fastest(const Ctx& ctx, bool big_endian,
+                           ScanFn ScanKernels::*scan) {
+  constexpr std::string_view kCharset = "abcdefghijklmnopqrstuvwxyz";
+  const PrefixWord0Iterator start({kCharset.data(), kCharset.size()}, 4, 8,
+                                  big_endian);
+  const std::vector<ScanKernels>& table = available_table();
+  std::vector<double> best(table.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int round = 0; round <= kProbeRounds; ++round) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      PrefixWord0Iterator it = start;
+      const Stopwatch timer;
+      (table[i].*scan)(ctx, it, kProbeKeys);
+      if (round > 0) best[i] = std::min(best[i], timer.seconds());
+    }
+  }
+  std::size_t winner = 0;
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    if (best[i] < best[winner]) winner = i;
+  }
+  // A cold path, once per algorithm and process: recorded whether or
+  // not hot-path telemetry is on.
+  obs::Registry::global().counter("gks_kernel_calibrations_total").add(1);
+  obs::Registry::global().gauge("gks_kernel_lane_width")
+      .set(table[winner].width);
+  return table[winner];
+}
+
 }  // namespace
 
 std::span<const ScanKernels> compiled_kernels() { return compiled_table(); }
 
 std::span<const ScanKernels> available_kernels() { return available_table(); }
 
-const ScanKernels& best_kernels() { return available_table().back(); }
+const ScanKernels& kernels_for(Algorithm algorithm) {
+  // Function-local statics: the first caller per algorithm runs the
+  // probe and concurrent first callers block until it is done.
+  switch (algorithm) {
+    case Algorithm::kMd5: {
+      static const ScanKernels& md5 = fastest(
+          Md5CrackContext(Md5::digest(""), "aaaa", 8), false,
+          &ScanKernels::md5_scan);
+      return md5;
+    }
+    case Algorithm::kSha1: {
+      static const ScanKernels& sha1 = fastest(
+          Sha1CrackContext(Sha1::digest(""), "aaaa", 8), true,
+          &ScanKernels::sha1_scan);
+      return sha1;
+    }
+    case Algorithm::kSha256:
+      break;
+  }
+  GKS_REQUIRE(false, "the lane kernels cover MD5 and SHA1 only");
+  return available_table().front();
+}
 
 const ScanKernels* kernels_for_width(unsigned width) {
   for (const ScanKernels& k : available_table()) {

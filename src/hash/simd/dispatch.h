@@ -4,13 +4,16 @@
 // the lane scanners at widths 4, 8 and 16 in separate translation units
 // with per-TU target flags (SSE2-baseline / AVX2 / AVX-512 where the
 // compiler supports them); this header exposes the table of compiled
-// variants and selects, once per process via CPUID, the subset the host
-// can actually execute. See docs/simd.md for the full ladder.
+// variants, selects once per process via CPUID the subset the host can
+// actually execute, and picks once per process and algorithm the width
+// the scan engines run. See docs/simd.md for the full ladder.
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
+
+#include "hash/digest.h"
 
 namespace gks::hash {
 class Md5CrackContext;
@@ -58,9 +61,14 @@ std::span<const ScanKernels> compiled_kernels();
 /// codegen and is always executable.
 std::span<const ScanKernels> available_kernels();
 
-/// The widest available variant — the default engine when no
-/// calibration has run.
-const ScanKernels& best_kernels();
+/// The variant every scan engine runs for `algorithm` (MD5 or SHA1;
+/// throws InvalidArgument otherwise). The first call per algorithm
+/// times each available width on a fixed synthetic one-target context,
+/// best of several interleaved rounds, and keeps the fastest for the
+/// rest of the process; concurrent first callers wait for that one
+/// probe. The widest width is not always the fastest (docs/simd.md,
+/// "Calibration and scheduling"). Points into available_kernels().
+const ScanKernels& kernels_for(Algorithm algorithm);
 
 /// The available variant of exactly `width`, or nullptr if that width
 /// was not compiled or the host cannot run it.

@@ -156,8 +156,8 @@ std::span<const std::uint32_t> TargetIndex::matches(std::uint32_t word) const {
       config_.stats->false_positives.fetch_add(1, std::memory_order_relaxed);
     }
     // Global telemetry rides the same gate-frequency path (never per
-    // candidate); calibration probes run with stats == nullptr and so
-    // stay out of the process counters too.
+    // candidate); an index built without a stats sink stays out of
+    // the process counters too.
     if (obs::enabled()) {
       static obs::Counter& hits =
           obs::Registry::global().counter("gks_kernel_gate_hits_total");

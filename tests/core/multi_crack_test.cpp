@@ -4,6 +4,7 @@
 
 #include <cctype>
 
+#include "core/crack_request.h"
 #include "hash/md5.h"
 #include "hash/sha1.h"
 #include "keyspace/codec.h"
@@ -130,24 +131,51 @@ TEST(MultiCrack, BatchAgreesWithIndividualCracks) {
 }
 
 TEST(MultiCrack, LaneAndScalarEnginesAgree) {
-  // The calibrated lane engine and the forced-scalar engine must
-  // produce identical sweeps: same verdicts, same keys, same count of
-  // tested candidates.
+  // The lane engine's sweep must agree with a brute-force walk that
+  // checks every candidate of the space against each target through
+  // CrackRequest::matches: same verdicts, same keys, every candidate
+  // tested.
   const std::vector<std::string> keys = {"fish", "cat", "dog", "cat"};
   auto request = md5_batch(keys, keyspace::Charset("acdfghiost"), 1, 4);
   request.target_hexes.push_back(hash::Md5::digest("MISSING").to_hex());
 
-  auto scalar_request = request;
-  scalar_request.lane_scanning = false;
+  std::vector<CrackRequest> singles;
+  std::vector<MultiTargetVerdict> expected;
+  for (const std::string& hex : request.target_hexes) {
+    CrackRequest single;
+    single.algorithm = request.algorithm;
+    single.target_hex = hex;
+    single.charset = request.charset;
+    single.min_length = request.min_length;
+    single.max_length = request.max_length;
+    single.salt = request.salt;
+    singles.push_back(single);
+    expected.push_back({hex, false, {}});
+  }
+  const keyspace::KeyCodec codec(request.charset,
+                                 keyspace::DigitOrder::kPrefixFastest);
+  const u128 space = keyspace::space_size(
+      request.charset.size(), request.min_length, request.max_length);
+  std::string key = codec.decode(keyspace::first_id_of_length(
+      request.charset.size(), request.min_length));
+  std::size_t expected_cracked = 0;
+  for (u128 id(0); id < space; ++id) {
+    for (std::size_t i = 0; i < singles.size(); ++i) {
+      if (!expected[i].found && singles[i].matches(key)) {
+        expected[i] = {expected[i].digest_hex, true, key};
+        ++expected_cracked;
+      }
+    }
+    codec.next_inplace(key);
+  }
 
   const auto lanes = multi_crack(request, 2);
-  const auto scalar = multi_crack(scalar_request, 2);
-  EXPECT_EQ(lanes.cracked, scalar.cracked);
-  EXPECT_EQ(lanes.tested, scalar.tested);
-  ASSERT_EQ(lanes.targets.size(), scalar.targets.size());
+  EXPECT_EQ(lanes.cracked, expected_cracked);
+  EXPECT_EQ(lanes.tested, space);
+  ASSERT_EQ(lanes.targets.size(), expected.size());
   for (std::size_t i = 0; i < lanes.targets.size(); ++i) {
-    EXPECT_EQ(lanes.targets[i].found, scalar.targets[i].found) << i;
-    EXPECT_EQ(lanes.targets[i].key, scalar.targets[i].key) << i;
+    EXPECT_EQ(lanes.targets[i].found, expected[i].found) << i;
+    EXPECT_EQ(lanes.targets[i].key, expected[i].key) << i;
   }
 }
 

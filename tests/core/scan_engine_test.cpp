@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/error.h"
 
 #include "hash/md5.h"
 #include "hash/sha1.h"
 #include "hash/sha256.h"
+#include "keyspace/codec.h"
+#include "keyspace/space.h"
 
 namespace gks::core {
 namespace {
@@ -176,22 +181,54 @@ TEST(ScanEngine, AlphanumericEightCharKeySliceScan) {
   EXPECT_EQ(out.found[0].value, "Xy3kQ9ab");
 }
 
+/// Every (id, key) of the request's space that matches its target,
+/// found by hashing each candidate in id order — the reference the
+/// lane engine must reproduce.
+std::vector<dispatch::Found> brute_force_hits(const CrackRequest& req) {
+  const keyspace::KeyCodec codec(req.charset,
+                                 keyspace::DigitOrder::kPrefixFastest);
+  std::string key = codec.decode(
+      keyspace::first_id_of_length(req.charset.size(), req.min_length));
+  std::vector<dispatch::Found> hits;
+  for (u128 id(0); id < req.space_size(); ++id) {
+    if (req.matches(key)) hits.push_back({id, key});
+    codec.next_inplace(key);
+  }
+  return hits;
+}
+
 TEST(ScanEngine, LaneScannerProducesIdenticalResults) {
-  // The default vectorized engine must agree with the forced-scalar
-  // engine on hits, ids and coverage.
-  const auto req = request_for(hash::Algorithm::kMd5, "fade",
-                               keyspace::Charset("abcdef"), 1, 4);
-  ScanPlan scalar(req);
-  scalar.set_lane_scanning(false);
-  ScanPlan lanes(req);
-  const auto space = req.space_interval();
-  const auto a = scalar.scan(space);
-  const auto b = lanes.scan(space);
-  ASSERT_EQ(a.found.size(), b.found.size());
-  ASSERT_EQ(a.found.size(), 1u);
-  EXPECT_EQ(a.found[0].id, b.found[0].id);
-  EXPECT_EQ(a.found[0].value, b.found[0].value);
-  EXPECT_EQ(a.tested, b.tested);
+  // The lane engine must agree with a brute-force walk of the same
+  // space on hits, ids and coverage.
+  for (const auto alg : {hash::Algorithm::kMd5, hash::Algorithm::kSha1}) {
+    const auto req =
+        request_for(alg, "fade", keyspace::Charset("abcdef"), 1, 4);
+    const auto expected = brute_force_hits(req);
+    const auto out = ScanPlan(req).scan(req.space_interval());
+    ASSERT_EQ(expected.size(), 1u);
+    ASSERT_EQ(out.found.size(), expected.size());
+    EXPECT_EQ(out.found[0].id, expected[0].id);
+    EXPECT_EQ(out.found[0].value, expected[0].value);
+    EXPECT_EQ(out.tested, req.space_size());
+  }
+}
+
+TEST(ScanEngine, Sha256ScansOnTheGenericPath) {
+  // SHA256 has no lane kernels (kernels_for rejects it), so every
+  // chunk must take the generic path.
+  CrackRequest req;
+  req.algorithm = hash::Algorithm::kSha256;
+  req.charset = keyspace::Charset("abc");
+  req.min_length = 1;
+  req.max_length = 4;
+  req.target_hex = hash::Sha256::digest("cab").to_hex();
+  const ScanPlan plan(req);
+  const auto expected = brute_force_hits(req);
+  const auto out = plan.scan(req.space_interval());
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_EQ(out.found.size(), 1u);
+  EXPECT_EQ(out.found[0], expected[0]);
+  EXPECT_EQ(out.tested, req.space_size());
 }
 
 TEST(ScanEngine, LaneScannerHandlesSubIntervalBoundaries) {
@@ -204,42 +241,6 @@ TEST(ScanEngine, LaneScannerHandlesSubIntervalBoundaries) {
       lanes.scan(keyspace::Interval(id - u128(3), id + u128(5)));
   ASSERT_EQ(out.found.size(), 1u);
   EXPECT_EQ(out.found[0].value, "decade");
-}
-
-TEST(ScanEngine, LaneKernelsDefaultToWidestAndRespectToggle) {
-  const auto req = request_for(hash::Algorithm::kMd5, "fade",
-                               keyspace::Charset("abcdef"), 1, 4);
-  ScanPlan plan(req);
-  ASSERT_NE(plan.lane_kernels(), nullptr);
-  EXPECT_EQ(plan.lane_kernels(), &hash::simd::best_kernels());
-  plan.set_lane_scanning(false);
-  EXPECT_EQ(plan.lane_kernels(), nullptr);
-}
-
-TEST(ScanEngine, CalibrationIsCachedAndScanStaysCorrect) {
-  const auto req = request_for(hash::Algorithm::kSha1, "fade",
-                               keyspace::Charset("abcdef"), 1, 4);
-  ScanPlan plan(req);
-  const auto* choice = plan.calibrate_lane_choice();
-  // Idempotent: the probe ran once, the pinned choice is stable and is
-  // what scan() uses from now on.
-  EXPECT_EQ(plan.calibrate_lane_choice(), choice);
-  EXPECT_EQ(plan.lane_kernels(), choice);
-  const auto out = plan.scan(req.space_interval());
-  ASSERT_EQ(out.found.size(), 1u);
-  EXPECT_EQ(out.found[0].value, "fade");
-}
-
-TEST(ScanEngine, CalibrationOnGenericPathPicksScalar) {
-  // SHA256 has no word-0 fast path, so there is nothing to calibrate.
-  CrackRequest req;
-  req.algorithm = hash::Algorithm::kSha256;
-  req.charset = keyspace::Charset("abc");
-  req.min_length = 1;
-  req.max_length = 4;
-  req.target_hex = hash::Sha256::digest("abc").to_hex();
-  ScanPlan plan(req);
-  EXPECT_EQ(plan.calibrate_lane_choice(), nullptr);
 }
 
 }  // namespace

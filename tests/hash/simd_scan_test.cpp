@@ -87,7 +87,6 @@ std::uint64_t combinations(const Scenario& sc) {
 TEST(SimdDispatch, BaselineWidthAlwaysAvailable) {
   ASSERT_FALSE(available_kernels().empty());
   EXPECT_EQ(available_kernels().front().width, 4u);
-  EXPECT_EQ(best_kernels().width, available_kernels().back().width);
   EXPECT_EQ(kernels_for_width(3), nullptr);
 }
 

@@ -103,6 +103,16 @@ TEST(Device, TheoreticalMatchesModel) {
 // The per-MP simulation is memoized process-wide. Each test below uses
 // a SimtConfig no other test uses, so its memo entries are fresh.
 
+/// A SimtConfig no earlier call in this process has used: each call
+/// takes the next measurement window, so a test that counts new memo
+/// entries still finds them fresh on every --gtest_repeat pass.
+SimtConfig fresh_config() {
+  static std::uint64_t next_window = 13000;
+  SimtConfig config;
+  config.measure_cycles = next_window++;
+  return config;
+}
+
 double direct_throughput(const DeviceSpec& dev, const KernelProfile& profile,
                          const SimtConfig& config) {
   const SimtResult r = SimtSimulator(dev.arch(), config).run(profile);
@@ -122,8 +132,7 @@ TEST(SimtMemo, TwoGpusOfOneDeviceReturnBitIdenticalThroughput) {
 }
 
 TEST(SimtMemo, EachConfigAndIlpGetsItsOwnEntry) {
-  SimtConfig config;
-  config.measure_cycles = 13000;
+  const SimtConfig config = fresh_config();
   const DeviceSpec& dev = device_by_name("550Ti");
   KernelProfile ilp1 = test_profile();
   KernelProfile ilp2 = test_profile();
@@ -160,8 +169,7 @@ TEST(SimtMemo, EachConfigAndIlpGetsItsOwnEntry) {
 }
 
 TEST(SimtMemo, ConcurrentFirstCallsAgree) {
-  SimtConfig config;
-  config.measure_cycles = 14000;
+  const SimtConfig config = fresh_config();
   const DeviceSpec& dev = device_by_name("8800");
   const std::size_t before = SimtSimulator::memo_entries();
   std::vector<double> results(4, 0.0);
