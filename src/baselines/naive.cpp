@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "keyspace/space.h"
 #include "support/stopwatch.h"
 
 namespace gks::baselines {
@@ -15,23 +14,19 @@ dispatch::ScanOutcome scan_with(const core::CrackRequest& request,
   Stopwatch timer;
   dispatch::ScanOutcome out;
 
-  const keyspace::KeyCodec codec(request.charset,
-                                 keyspace::DigitOrder::kPrefixFastest);
-  const u128 offset = keyspace::first_id_of_length(request.charset.size(),
-                                                   request.min_length);
-
+  const keyspace::KeyspaceGenerator generator = request.make_generator();
   std::string key;
   if (incremental_next && interval.begin < interval.end) {
-    codec.decode_into(interval.begin + offset, key);
+    generator.generate(interval.begin, key);
   }
   for (u128 id = interval.begin; id < interval.end; ++id) {
     if (!incremental_next) {
-      codec.decode_into(id + offset, key);  // full f(i) per candidate
+      generator.generate(id, key);  // full f(i) per candidate
     }
     if (request.matches(key)) {
       out.found.push_back({id, key});
     }
-    if (incremental_next) codec.next_inplace(key);
+    if (incremental_next) generator.next(id, key);
   }
   out.tested = interval.size();
   out.busy_virtual_s = std::max(timer.seconds(), 1e-9);

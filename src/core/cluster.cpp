@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "core/cpu_backend.h"
-#include "core/scan_engine.h"
 #include "simgpu/arch.h"
 #include "support/error.h"
 
@@ -74,10 +73,9 @@ dispatch::SearchReport ClusterCracker::crack(const CrackRequest& request) {
 
   std::vector<u128> planted;
   if (options_.planted_key) {
-    ScanPlan plan(request);
     GKS_REQUIRE(request.matches(*options_.planted_key),
                 "planted key does not hash to the target");
-    planted.push_back(plan.id_of(*options_.planted_key));
+    planted.push_back(request.id_of(*options_.planted_key));
   } else {
     GKS_REQUIRE(options_.gpu_mode != SimGpuMode::kModel,
                 "model-mode simulated GPUs need a planted key to find");

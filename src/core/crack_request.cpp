@@ -17,6 +17,13 @@ bool CrackRequest::matches(const std::string& key) const {
                             [](char c) { return static_cast<char>(c | 0x20); });
 }
 
+u128 CrackRequest::id_of(const std::string& key) const {
+  GKS_REQUIRE(key.size() >= min_length && key.size() <= max_length,
+              "key length outside the requested range");
+  const keyspace::KeyspaceGenerator generator = make_generator();
+  return generator.codec().encode(key) - generator.global_offset();
+}
+
 void CrackRequest::validate() const {
   GKS_REQUIRE(min_length >= 1, "minimum key length must be at least 1");
   GKS_REQUIRE(min_length <= max_length, "invalid key length range");

@@ -37,6 +37,11 @@ struct CrackRequest {
     return keyspace::space_size(charset.size(), min_length, max_length);
   }
 
+  /// Identifier of a known key under make_generator()'s enumeration
+  /// (generator-relative); used to plant solutions. Throws if the key
+  /// lies outside the key space.
+  u128 id_of(const std::string& key) const;
+
   /// The dense identifier interval of the whole search space
   /// (generator-relative: 0 is the first string of min_length).
   keyspace::Interval space_interval() const {

@@ -1,12 +1,9 @@
 #include "core/generator_crack.h"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 
-#include "hash/md5.h"
-#include "hash/sha1.h"
-#include "hash/sha256.h"
+#include "core/sweep_walk.h"
 #include "hash/target_index.h"
 #include "keyspace/interval.h"
 #include "support/error.h"
@@ -20,7 +17,7 @@ template <class Hasher>
 MultiCrackResult crack_with(const keyspace::Generator& generator,
                             const std::vector<std::string>& target_hexes,
                             const hash::SaltSpec& salt, std::size_t threads) {
-  using DigestT = decltype(Hasher::digest(std::string_view()));
+  using DigestT = DigestOf<Hasher>;
   Stopwatch timer;
   std::vector<DigestT> unique;
   std::vector<std::vector<std::size_t>> slots;
@@ -49,17 +46,13 @@ MultiCrackResult crack_with(const keyspace::Generator& generator,
     std::vector<std::vector<std::pair<std::uint32_t, std::string>>> hits(
         sub.size());
     pool.parallel_for(sub.size(), [&](std::size_t p) {
-      // One candidate and one message buffer per part, reused for
-      // every candidate of it.
-      std::string candidate;
-      std::string message;
-      for (u128 id = sub[p].begin; id < sub[p].end; ++id) {
-        generator.generate(id, candidate);
-        salt.apply_into(candidate, message);
-        hash::for_each_digest_match(
-            index, unique, Hasher::digest(message),
-            [&](std::uint32_t u) { hits[p].emplace_back(u, candidate); });
-      }
+      hash_candidates<Hasher>(
+          generator, salt, sub[p],
+          [&](u128, const std::string& key, const DigestT& digest) {
+            hash::for_each_digest_match(
+                index, unique, digest,
+                [&](std::uint32_t u) { hits[p].emplace_back(u, key); });
+          });
     });
 
     result.tested += round.size();
@@ -89,16 +82,10 @@ MultiCrackResult crack_generator(const keyspace::Generator& generator,
                                  const hash::SaltSpec& salt,
                                  std::size_t threads) {
   GKS_REQUIRE(!target_hexes.empty(), "need at least one target digest");
-  switch (algorithm) {
-    case hash::Algorithm::kMd5:
-      return crack_with<hash::Md5>(generator, target_hexes, salt, threads);
-    case hash::Algorithm::kSha1:
-      return crack_with<hash::Sha1>(generator, target_hexes, salt, threads);
-    case hash::Algorithm::kSha256:
-      return crack_with<hash::Sha256>(generator, target_hexes, salt,
-                                      threads);
-  }
-  throw InvalidArgument("unknown hash algorithm");
+  return visit_hasher(algorithm, [&](auto hasher) {
+    return crack_with<typename decltype(hasher)::type>(generator, target_hexes,
+                                                       salt, threads);
+  });
 }
 
 }  // namespace gks::core

@@ -14,10 +14,12 @@ namespace gks::core {
 /// dictionary, hybrid, anything implementing keyspace::Generator —
 /// against a set of digests. This is the generic C(f(i)) of the
 /// Section III-A problem definition with no kernel specialization:
-/// each candidate is salted and fully hashed, then probed against one
-/// TargetIndex over the deduplicated digests (hash::for_each_digest_match,
-/// the sweep's generic path uses the same), so its cost does not grow
-/// with the target count. Slower per candidate than the word-0 engines,
+/// each part runs the sweep engines' full-hash loop (hash_candidates,
+/// core/sweep_walk.h), which steps with the generator's `next`
+/// operator, salts and fully hashes each candidate, and probes one
+/// TargetIndex over the deduplicated digests
+/// (hash::for_each_digest_match), so its cost does not grow with the
+/// target count. Slower per candidate than the word-0 engines,
 /// but it accepts any f(i), which is the pattern's whole point.
 ///
 /// Hexes parse in either case; verdicts come back in request order,

@@ -4,10 +4,8 @@
 #include <vector>
 
 #include "core/multi_sweep.h"
+#include "core/sweep_walk.h"
 #include "hash/kernel_words.h"
-#include "hash/md5.h"
-#include "hash/sha1.h"
-#include "hash/sha256.h"
 #include "keyspace/interval.h"
 #include "support/error.h"
 #include "support/hex.h"
@@ -80,16 +78,9 @@ MultiCrackResult multi_crack(const MultiCrackRequest& request,
 std::string salted_digest_hex(hash::Algorithm algorithm,
                               const hash::SaltSpec& salt,
                               const std::string& key) {
-  const std::string message = salt.apply(key);
-  switch (algorithm) {
-    case hash::Algorithm::kMd5:
-      return hash::Md5::digest(message).to_hex();
-    case hash::Algorithm::kSha1:
-      return hash::Sha1::digest(message).to_hex();
-    case hash::Algorithm::kSha256:
-      return hash::Sha256::digest(message).to_hex();
-  }
-  return {};
+  return visit_hasher(algorithm, [&](auto hasher) {
+    return decltype(hasher)::type::digest(salt.apply(key)).to_hex();
+  });
 }
 
 }  // namespace gks::core

@@ -6,13 +6,8 @@
 #include <type_traits>
 #include <variant>
 
-#include "hash/kernel_words.h"
-#include "hash/md5.h"
-#include "obs/metrics.h"
-#include "hash/md5_crack.h"
-#include "hash/sha1.h"
 #include "hash/simd/dispatch.h"
-#include "keyspace/space.h"
+#include "obs/metrics.h"
 #include "support/error.h"
 #include "support/hex.h"
 #include "support/stopwatch.h"
@@ -82,7 +77,7 @@ namespace {
 /// kCachedContexts entries the least recently used idle ones go.
 class ContextCache {
  public:
-  using Key = std::pair<std::size_t, std::string>;
+  using Key = std::pair<unsigned, std::string>;  ///< (key length, tail)
 
   /// The cached context for `key`, or build()'s. Builds run outside
   /// the lock; when two scans race on one tail, the loser's build is
@@ -170,66 +165,13 @@ namespace {
 /// scanned to at most half a context.
 constexpr std::size_t kCompactMin = 256;
 
-bool fast_path_applicable(const MultiCrackRequest& request,
-                          std::size_t key_len) {
-  if (request.algorithm == hash::Algorithm::kSha256) return false;
-  switch (request.salt.position) {
-    case hash::SaltPosition::kNone: return true;
-    case hash::SaltPosition::kPrefix: return false;
-    case hash::SaltPosition::kSuffix: return key_len >= 4;
-  }
-  return false;
-}
-
-/// The fixed message bytes after the candidate's first word: key tail
-/// plus any suffix salt.
-std::string chunk_tail(const MultiCrackRequest& request,
-                       const std::string& first_key) {
-  std::string tail;
-  if (first_key.size() > 4) tail = first_key.substr(4);
-  if (request.salt.position == hash::SaltPosition::kSuffix) {
-    tail += request.salt.salt;
-  }
-  return tail;
-}
-
-/// Walks `interval` in the tail-block chunks the scan uses, invoking
-/// fn(begin_id, count, first_key). All candidates of one chunk share
-/// their length and tail characters (prefix-fastest mapping).
-template <class Fn>
-void for_each_chunk(const MultiCrackRequest& request,
-                    const keyspace::KeyCodec& codec, const u128& offset,
-                    const keyspace::Interval& interval, Fn&& fn) {
-  const std::size_t n = request.charset.size();
-  u128 id = interval.begin;
-  std::string key;
-  while (id < interval.end) {
-    codec.decode_into(id + offset, key);
-    const std::size_t key_len = key.size();
-    const auto prefix_chars =
-        static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-    const u128 block = keyspace::keys_of_length(n, prefix_chars);
-    const u128 first_of_len =
-        keyspace::first_id_of_length(n, static_cast<unsigned>(key_len)) -
-        offset;
-    const u128 within = (id - first_of_len) % block;
-    const u128 chunk = std::min(interval.end - id, block - within);
-    if (!fn(id, chunk, key)) return;
-    id += chunk;
-  }
-}
-
 }  // namespace
 
 MultiSweeper::MultiSweeper(MultiCrackRequest request)
     : request_(std::move(request)),
       parsed_(std::make_unique<Parsed>()),
-      codec_((request_.validate(), request_.charset),
-             keyspace::DigitOrder::kPrefixFastest),
-      offset_(keyspace::first_id_of_length(request_.charset.size(),
-                                           request_.min_length)),
-      space_(keyspace::space_size(request_.charset.size(),
-                                  request_.min_length, request_.max_length)) {
+      walk_((request_.validate(), request_.algorithm), request_.charset,
+            request_.min_length, request_.max_length, request_.salt) {
   parsed_->visit(request_.algorithm, [&](auto& set) {
     // dedup_digests leaves `unique` sorted, so the lookup starts as
     // (unique[u], u).
@@ -314,111 +256,79 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
   Stopwatch scan_timer;
 
   u128 tested(0);
-  for_each_chunk(
-      request_, codec_, offset_, interval,
-      [&](u128 id, u128 count, const std::string& first_key) {
-        if (interrupt != nullptr &&
-            interrupt->load(std::memory_order_acquire)) {
-          return false;  // cooperative yield: remainder stays untested
-        }
-        if (generation_.load(std::memory_order_acquire) !=
-            snap->generation) {
-          // The target set moved on (add_targets or compaction):
-          // yield so the caller re-dispatches the remainder against
-          // the current generation. This is the handoff that makes a
-          // target added before its covering interval is scanned
-          // impossible to miss.
-          return false;
-        }
-        const std::size_t key_len = first_key.size();
-        if (fast_path_applicable(request_, key_len)) {
-          const auto prefix_chars =
-              static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-          const auto cache_key =
-              std::make_pair(key_len, chunk_tail(request_, first_key));
-          const std::size_t total_len =
-              key_len + request_.salt.extra_length();
-
-          const bool big_endian =
-              request_.algorithm == hash::Algorithm::kSha1;
-          hash::PrefixWord0Iterator it(request_.charset.chars(), prefix_chars,
-                                       key_len, big_endian);
-          std::vector<std::uint32_t> digits(prefix_chars);
-          for (unsigned i = 0; i < prefix_chars; ++i) {
-            digits[i] = static_cast<std::uint32_t>(
-                request_.charset.index_of(first_key[i]));
-          }
-          it.seek(digits);
-
-          const std::uint64_t n = count.to_u64();
-          std::vector<hash::MultiHit> found;
-          // Contexts are built from the snapshot's digests minus its
-          // retired slots; counting the builds makes the cache's bound
-          // observable.
-          const auto scan_with = [&](auto ctx_type, const auto& digests,
-                                     auto hash::simd::ScanKernels::*lane) {
-            using Ctx = typename decltype(ctx_type)::type;
-            const auto multi = snap->contexts.get<Ctx>(cache_key, [&] {
+  walk_.for_each_block(interval, [&](TailBlock& block) {
+    if (interrupt != nullptr && interrupt->load(std::memory_order_acquire)) {
+      return false;  // cooperative yield: remainder stays untested
+    }
+    if (generation_.load(std::memory_order_acquire) != snap->generation) {
+      // The target set moved on (add_targets or compaction): yield so
+      // the caller re-dispatches the remainder against the current
+      // generation. This is the handoff that makes a target added
+      // before its covering interval is scanned impossible to miss.
+      return false;
+    }
+    // One instantiation per algorithm: its context type, its hasher
+    // and the snapshot's digests of its type.
+    const auto scan_block = [&](auto ctx_type, auto hasher,
+                                const auto& digests,
+                                auto hash::simd::ScanKernels::*lane) {
+      using Ctx = typename decltype(ctx_type)::type;
+      if (block.word0) {
+        Word0Start& start = *block.word0;
+        // Contexts are built from the snapshot's digests minus its
+        // retired slots; counting the builds makes the cache's bound
+        // observable.
+        const auto multi = snap->contexts.get<Ctx>(
+            {block.key_length, start.tail}, [&] {
               context_builds_.fetch_add(1, std::memory_order_relaxed);
               if (observed) {
                 static obs::Counter& builds = obs::Registry::global().counter(
                     "gks_sweep_context_builds_total");
                 builds.add(1);
               }
-              return std::make_shared<const Ctx>(digests, cache_key.second,
-                                                 total_len, index_config(),
-                                                 snap->retired);
+              return std::make_shared<const Ctx>(
+                  digests, start.tail, start.total_length, index_config(),
+                  snap->retired);
             });
-            (hash::simd::kernels_for(request_.algorithm).*lane)(*multi, it,
-                                                                n, found);
-          };
-          if (request_.algorithm == hash::Algorithm::kMd5) {
-            scan_with(std::type_identity<hash::Md5MultiContext>(), snap->md5,
-                      &hash::simd::ScanKernels::md5_multi_scan);
-          } else {
-            scan_with(std::type_identity<hash::Sha1MultiContext>(),
-                      snap->sha1, &hash::simd::ScanKernels::sha1_multi_scan);
-          }
-          // Context slots ARE unique indices; targets found or removed
-          // after this snapshot was published may still surface here
-          // and are filtered by mark_found.
-          for (const hash::MultiHit& h : found) {
-            hits.push_back(
-                {h.slot, codec_.decode(id + u128(h.offset) + offset_)});
-          }
-        } else {
-          // Generic path: the full digest of every candidate, probed
-          // against the snapshot's digest index. Like the contexts,
-          // the index may still hold targets recovered since it was
-          // built; mark_found filters those.
-          std::call_once(snap->generic_once, [&] {
-            snap->generic =
-                request_.algorithm == hash::Algorithm::kMd5
-                    ? hash::index_digests(snap->md5, index_config(),
-                                          snap->retired)
-                    : hash::index_digests(snap->sha1, index_config(),
-                                          snap->retired);
-          });
-          std::string key = first_key;
-          std::string message;
-          const auto probe = [&](const auto& digests, const auto& digest) {
+        std::vector<hash::MultiHit> found;
+        (hash::simd::kernels_for(request_.algorithm).*lane)(
+            *multi, start.it, block.ids.size().to_u64(), found);
+        // Context slots ARE unique indices; targets found or removed
+        // after this snapshot was published may still surface here and
+        // are filtered by mark_found.
+        for (const hash::MultiHit& h : found) {
+          const u128 id = block.ids.begin + u128(h.offset);
+          hits.push_back({h.slot, walk_.generator().at(id)});
+        }
+        return;
+      }
+      // Full-hash loop, every digest probed against the snapshot's
+      // digest index. Like the contexts, the index may still hold
+      // targets recovered since it was built; mark_found filters those.
+      std::call_once(snap->generic_once, [&] {
+        snap->generic =
+            hash::index_digests(digests, index_config(), snap->retired);
+      });
+      hash_candidates<typename decltype(hasher)::type>(
+          walk_.generator(), request_.salt, block.ids,
+          [&](u128, const std::string& key, const auto& digest) {
             hash::for_each_digest_match(
                 *snap->generic, digests, digest,
                 [&](std::uint32_t u) { hits.push_back({u, key}); });
-          };
-          for (u128 togo = count; togo > u128(0); --togo) {
-            request_.salt.apply_into(key, message);
-            if (request_.algorithm == hash::Algorithm::kMd5) {
-              probe(snap->md5, hash::Md5::digest(message));
-            } else {
-              probe(snap->sha1, hash::Sha1::digest(message));
-            }
-            codec_.next_inplace(key);
-          }
-        }
-        tested += count;
-        return true;
-      });
+          });
+    };
+    if (request_.algorithm == hash::Algorithm::kMd5) {
+      scan_block(std::type_identity<hash::Md5MultiContext>(),
+                 std::type_identity<hash::Md5>(), snap->md5,
+                 &hash::simd::ScanKernels::md5_multi_scan);
+    } else {
+      scan_block(std::type_identity<hash::Sha1MultiContext>(),
+                 std::type_identity<hash::Sha1>(), snap->sha1,
+                 &hash::simd::ScanKernels::sha1_multi_scan);
+    }
+    tested += block.ids.size();
+    return true;
+  });
   if (observed) {
     static obs::Counter& keys =
         obs::Registry::global().counter("gks_sweep_keys_total");

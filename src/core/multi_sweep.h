@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/multi_crack.h"
+#include "core/sweep_walk.h"
 #include "hash/multi_crack.h"
-#include "keyspace/codec.h"
 #include "keyspace/interval.h"
 #include "support/uint128.h"
 
@@ -109,9 +109,9 @@ class MultiSweeper {
   const MultiCrackRequest& request() const { return request_; }
 
   /// Total candidates, and the dense identifier interval [0, size).
-  u128 space_size() const { return space_; }
+  u128 space_size() const { return walk_.generator().size(); }
   keyspace::Interval space_interval() const {
-    return keyspace::Interval(u128(0), space_);
+    return keyspace::Interval(u128(0), walk_.generator().size());
   }
 
   /// Deduplicated digest count / digests not yet recovered or removed.
@@ -214,9 +214,7 @@ class MultiSweeper {
 
   MultiCrackRequest request_;
   std::unique_ptr<Parsed> parsed_;
-  keyspace::KeyCodec codec_;
-  u128 offset_;  ///< global codec id of generator-relative id 0
-  u128 space_;
+  SweepWalk walk_;
 
   mutable hash::TargetIndexStats index_stats_;
   mutable std::atomic<std::uint64_t> context_builds_{0};

@@ -58,8 +58,7 @@ TEST(Naive, WorksOnSha1Too) {
 
 TEST(Naive, RespectsSubIntervals) {
   const auto req = request_for("dd");
-  const core::ScanPlan plan(req);
-  const u128 id = plan.id_of("dd");
+  const u128 id = req.id_of("dd");
   EXPECT_EQ(naive_scan(req, {id, id + u128(1)}).found.size(), 1u);
   EXPECT_TRUE(naive_scan(req, {id + u128(1), id + u128(50)}).found.empty());
 }

@@ -37,8 +37,7 @@ TEST(GpuBackend, ExecuteModeReallyFindsTheKey) {
 
 TEST(GpuBackend, ModelModeFindsThePlantedId) {
   const auto req = request_md5("dcba");
-  ScanPlan plan(req);
-  const u128 id = plan.id_of("dcba");
+  const u128 id = req.id_of("dcba");
   auto searcher = make_searcher(req, SimGpuMode::kModel, {id});
   const auto out = searcher.scan(req.space_interval());
   ASSERT_EQ(out.found.size(), 1u);
@@ -49,8 +48,7 @@ TEST(GpuBackend, ModelModeFindsThePlantedId) {
 TEST(GpuBackend, ModelAndExecuteModesAgreeOnFinds) {
   // The duality check of DESIGN.md: same interval, same conclusion.
   const auto req = request_md5("ccc");
-  ScanPlan plan(req);
-  const u128 id = plan.id_of("ccc");
+  const u128 id = req.id_of("ccc");
 
   auto execute = make_searcher(req, SimGpuMode::kExecute);
   auto model = make_searcher(req, SimGpuMode::kModel, {id});
@@ -64,7 +62,6 @@ TEST(GpuBackend, ModelAndExecuteModesAgreeOnFinds) {
 
 TEST(GpuBackend, TimingComesFromTheModelNotTheHost) {
   const auto req = request_md5("dcba");
-  ScanPlan plan(req);
   auto model = make_searcher(req, SimGpuMode::kModel, {});
   // A billion-key interval "runs" instantly on the host but must be
   // reported as a substantial simulated duration.

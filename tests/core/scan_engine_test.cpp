@@ -36,7 +36,7 @@ TEST(ScanEngine, FindsShortMd5KeyAtItsExactId) {
   const auto req = request_for(hash::Algorithm::kMd5, "cab",
                                keyspace::Charset("abc"), 1, 4);
   const ScanPlan plan(req);
-  const u128 id = plan.id_of("cab");
+  const u128 id = req.id_of("cab");
   const auto out = plan.scan(req.space_interval());
   ASSERT_EQ(out.found.size(), 1u);
   EXPECT_EQ(out.found[0].value, "cab");
@@ -57,7 +57,7 @@ TEST(ScanEngine, IdOfIsConsistentWithScan) {
   const auto req = request_for(hash::Algorithm::kMd5, "dcba",
                                keyspace::Charset("abcd"), 2, 4);
   const ScanPlan plan(req);
-  const u128 id = plan.id_of("dcba");
+  const u128 id = req.id_of("dcba");
   // Scanning only the surrounding slice must still find it.
   const keyspace::Interval slice(id - u128(10), id + u128(10));
   const auto out = plan.scan(slice);
@@ -69,7 +69,7 @@ TEST(ScanEngine, MissesKeyOutsideTheInterval) {
   const auto req = request_for(hash::Algorithm::kMd5, "ccc",
                                keyspace::Charset("abc"), 1, 4);
   const ScanPlan plan(req);
-  const u128 id = plan.id_of("ccc");
+  const u128 id = req.id_of("ccc");
   const auto out = plan.scan(keyspace::Interval(u128(0), id));
   EXPECT_TRUE(out.found.empty());
   EXPECT_EQ(out.tested, id);
@@ -143,7 +143,7 @@ TEST(ScanEngine, IntervalsCrossingLengthBoundaries) {
   const auto req = request_for(hash::Algorithm::kMd5, "aaa",
                                keyspace::Charset("abc"), 1, 4);
   const ScanPlan plan(req);
-  const u128 id = plan.id_of("aaa");  // first 3-char key
+  const u128 id = req.id_of("aaa");  // first 3-char key
   // Interval straddling the 2->3 char boundary.
   const auto out = plan.scan(keyspace::Interval(id - u128(3), id + u128(3)));
   ASSERT_EQ(out.found.size(), 1u);
@@ -156,7 +156,7 @@ TEST(ScanEngine, RejectsOutOfSpaceIntervalsAndKeys) {
   const ScanPlan plan(req);
   EXPECT_THROW(plan.scan(keyspace::Interval(u128(0), req.space_size() + u128(1))),
                InvalidArgument);
-  EXPECT_THROW(plan.id_of("aaa"), InvalidArgument);
+  EXPECT_THROW(req.id_of("aaa"), InvalidArgument);
 }
 
 TEST(ScanEngine, EmptyIntervalIsANoOp) {
@@ -174,7 +174,7 @@ TEST(ScanEngine, AlphanumericEightCharKeySliceScan) {
   const auto req = request_for(hash::Algorithm::kMd5, "Xy3kQ9ab",
                                keyspace::Charset::alphanumeric(), 1, 8);
   const ScanPlan plan(req);
-  const u128 id = plan.id_of("Xy3kQ9ab");
+  const u128 id = req.id_of("Xy3kQ9ab");
   const auto out =
       plan.scan(keyspace::Interval(id - u128(50000), id + u128(50000)));
   ASSERT_EQ(out.found.size(), 1u);
@@ -235,7 +235,7 @@ TEST(ScanEngine, LaneScannerHandlesSubIntervalBoundaries) {
   const auto req = request_for(hash::Algorithm::kMd5, "decade",
                                keyspace::Charset("acde"), 6, 6);
   ScanPlan lanes(req);
-  const u128 id = lanes.id_of("decade");
+  const u128 id = req.id_of("decade");
   // Odd-sized interval straddling the hit: exercises the scalar tail.
   const auto out =
       lanes.scan(keyspace::Interval(id - u128(3), id + u128(5)));
