@@ -46,12 +46,9 @@ double sweep_s(unsigned len, int runs) {
   double best = 0;
   for (int run = 0; run < runs; ++run) {
     core::MultiSweeper sweeper(req);
-    const keyspace::Interval all(
-        u128(0),
-        keyspace::space_size(req.charset.size(), len, len));
     std::vector<core::SweepHit> hits;
     Stopwatch timer;
-    sweeper.scan(all, hits, nullptr);
+    sweeper.scan(req.space_interval(), hits, nullptr);
     const double s = timer.seconds();
     if (run == 0 || s < best) best = s;
   }

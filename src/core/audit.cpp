@@ -25,23 +25,20 @@ std::vector<AuditVerdict> run_audit(const std::vector<AuditEntry>& entries,
   const LocalCracker cracker(policy.threads);
   for (const auto& [key, members] : groups) {
     const AuditEntry& first = entries[members.front()];
+    const SearchSpace space{first.algorithm, policy.charset,
+                            policy.min_length, policy.max_length, first.salt};
     if (members.size() == 1 || first.algorithm == hash::Algorithm::kSha256) {
       // A lone credential (a per-user salt) keeps the single-target
       // engine: its kernels test against one known digest and outrun
       // a one-target batch sweep. Batch sweeps do not cover SHA256.
       for (const std::size_t i : members) {
-        const CrackResult r = cracker.crack(
-            {.algorithm = first.algorithm, .target_hex = entries[i].digest_hex,
-             .charset = policy.charset, .min_length = policy.min_length,
-             .max_length = policy.max_length, .salt = first.salt});
+        const CrackResult r =
+            cracker.crack(CrackRequest{space, entries[i].digest_hex});
         verdicts[i] = {entries[i].user, r.found, r.key, r.tested, r.elapsed_s};
       }
       continue;
     }
-    MultiCrackRequest request{
-        .algorithm = first.algorithm, .target_hexes = {},
-        .charset = policy.charset, .min_length = policy.min_length,
-        .max_length = policy.max_length, .salt = first.salt};
+    MultiCrackRequest request{space, {}};
     for (const std::size_t i : members) {
       request.target_hexes.push_back(entries[i].digest_hex);
     }

@@ -1,57 +1,39 @@
 #include "core/cpu_backend.h"
 
 #include <algorithm>
-#include <atomic>
 
+#include "core/parallel_sweep.h"
 #include "hash/simd/dispatch.h"
 #include "support/stopwatch.h"
 
 namespace gks::core {
-namespace {
-
-/// Claim granularity for the self-scheduled scan: aim for ~64 claims
-/// per worker so stragglers rebalance, but keep chunks large enough
-/// (4096 candidates) that the atomic cursor and per-chunk setup stay
-/// negligible, and bounded so no single claim monopolizes a worker.
-std::uint64_t chunk_size(std::uint64_t batch, std::size_t workers) {
-  const std::uint64_t target = batch / (workers * 64u) + 1;
-  return std::clamp<std::uint64_t>(target, 4096, std::uint64_t{1} << 22);
-}
-
-}  // namespace
 
 CpuSearcher::CpuSearcher(CrackRequest request, std::size_t threads)
     : plan_(std::move(request)), pool_(threads) {}
 
 dispatch::ScanOutcome CpuSearcher::scan(const keyspace::Interval& interval) {
+  return sweep(interval);
+}
+
+dispatch::ScanOutcome CpuSearcher::sweep(
+    const keyspace::Interval& interval) const {
   Stopwatch timer;
   dispatch::ScanOutcome total;
   if (interval.empty()) return total;
 
-  // Workers claim chunks off an atomic cursor instead of receiving a
-  // static even split: early hash exits and heterogeneous cores make
-  // chunk costs uneven, and self-scheduling keeps every worker busy
-  // until the interval drains. Intervals beyond 2^62 are walked in
-  // sequential super-batches so the cursor arithmetic stays in 64 bits.
-  const u128 size = interval.size();
+  // Self-scheduled claims instead of a static even split: early hash
+  // exits and heterogeneous cores make chunk costs uneven
+  // (parallel_sweep).
   std::vector<dispatch::ScanOutcome> partial(pool_.size());
-  u128 done{0};
-  while (done < size) {
-    const u128 batch128 = std::min(size - done, u128(std::uint64_t{1} << 62));
-    const std::uint64_t batch = batch128.low64();
-    const u128 base = interval.begin + done;
-    pool_.parallel_chunks(
-        batch, chunk_size(batch, pool_.size()),
-        [this, &partial, base](std::size_t worker, std::uint64_t begin,
-                               std::uint64_t end) {
-          const auto out = plan_.scan(
-              keyspace::Interval(base + u128(begin), base + u128(end)));
-          auto& mine = partial[worker];
-          mine.tested += out.tested;
-          for (const auto& f : out.found) mine.found.push_back(f);
-        });
-    done += batch128;
-  }
+  parallel_sweep(pool_, interval,
+                 [this, &partial](std::size_t worker,
+                                  const keyspace::Interval& ids) {
+                   const auto out = plan_.scan(ids);
+                   auto& mine = partial[worker];
+                   mine.tested += out.tested;
+                   for (const auto& f : out.found) mine.found.push_back(f);
+                   return true;
+                 });
 
   for (auto& o : partial) {
     total.tested += o.tested;
@@ -78,21 +60,11 @@ double CpuSearcher::theoretical_throughput() const {
   // size(): SMT siblings and shared caches make N threads slower than
   // N× one thread, and the efficiency denominator should reflect the
   // peak the device can actually sustain.
-  const u128 space = plan_.request().space_size();
-  const u128 probe128 =
-      std::min(space, u128(std::uint64_t{200000} * pool_.size()));
-  const std::uint64_t probe = probe128.low64();
-  std::atomic<std::uint64_t> tested{0};
-  Stopwatch timer;
-  pool_.parallel_chunks(
-      probe, chunk_size(probe, pool_.size()),
-      [this, &tested](std::size_t, std::uint64_t begin, std::uint64_t end) {
-        const auto out =
-            plan_.scan(keyspace::Interval(u128(begin), u128(end)));
-        tested.fetch_add(out.tested.low64(), std::memory_order_relaxed);
-      });
-  calibrated_peak_ = static_cast<double>(tested.load()) /
-                     std::max(timer.seconds(), 1e-9);
+  const dispatch::ScanOutcome probe = sweep(keyspace::Interval(
+      u128(0), std::min(plan_.request().space_size(),
+                        u128(std::uint64_t{200000} * pool_.size()))));
+  calibrated_peak_ =
+      probe.tested.to_double() / std::max(probe.busy_virtual_s, 1e-9);
   return calibrated_peak_;
 }
 

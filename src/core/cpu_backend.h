@@ -11,10 +11,10 @@ namespace gks::core {
 /// Real multithreaded cracking on the host CPU — the fine-grain
 /// parallelization of the pattern applied to a multicore instead of a
 /// CUDA grid (the paper's future-work target, Section VII). Each scan
-/// is drained by self-scheduled chunk claiming (an atomic cursor over
-/// the interval), every worker running the same word-0 kernel loop a
-/// GPU thread would — through the SIMD lane width the process picked
-/// for the algorithm (hash::simd::kernels_for).
+/// is drained by the self-scheduled host driver (parallel_sweep),
+/// every worker running the same word-0 kernel loop a GPU thread
+/// would — through the SIMD lane width the process picked for the
+/// algorithm (hash::simd::kernels_for).
 class CpuSearcher final : public dispatch::IntervalSearcher {
  public:
   /// `threads` = 0 uses the hardware concurrency.
@@ -32,13 +32,12 @@ class CpuSearcher final : public dispatch::IntervalSearcher {
 
   std::string description() const override;
 
-  const ScanPlan& plan() const { return plan_; }
-  std::size_t threads() const { return pool_.size(); }
-
  private:
+  /// scan(), callable from the const calibration too.
+  dispatch::ScanOutcome sweep(const keyspace::Interval& interval) const;
+
   ScanPlan plan_;
-  /// mutable: theoretical_throughput() is a const measurement that
-  /// runs probe work on the pool.
+  /// mutable: sweep() is const and runs its work on the pool.
   mutable ThreadPool pool_;
   mutable double calibrated_peak_ = 0;
 };

@@ -8,8 +8,7 @@ namespace gks::core {
 
 CrackResult LocalCracker::crack(const CrackRequest& request,
                                 const ProgressCallback& progress) const {
-  request.validate();
-  CpuSearcher searcher(request, threads_);
+  CpuSearcher searcher(request, threads_);  // validates the request
 
   CrackResult result;
   Stopwatch timer;
@@ -35,19 +34,6 @@ CrackResult LocalCracker::crack(const CrackRequest& request,
   result.throughput =
       result.elapsed_s > 0 ? result.tested.to_double() / result.elapsed_s : 0;
   return result;
-}
-
-CrackResult LocalCracker::crack_md5(const std::string& target_hex,
-                                    const keyspace::Charset& charset,
-                                    unsigned min_len,
-                                    unsigned max_len) const {
-  CrackRequest request;
-  request.algorithm = hash::Algorithm::kMd5;
-  request.target_hex = target_hex;
-  request.charset = charset;
-  request.min_length = min_len;
-  request.max_length = max_len;
-  return crack(request);
 }
 
 }  // namespace gks::core

@@ -29,11 +29,6 @@ class LocalCracker {
   CrackResult crack(const CrackRequest& request,
                     const ProgressCallback& progress = {}) const;
 
-  /// Convenience: crack the MD5 of an unsalted key.
-  CrackResult crack_md5(const std::string& target_hex,
-                        const keyspace::Charset& charset, unsigned min_len,
-                        unsigned max_len) const;
-
  private:
   std::size_t threads_;
 };

@@ -1,14 +1,13 @@
 #include "core/generator_crack.h"
 
-#include <algorithm>
+#include <mutex>
 #include <utility>
 
+#include "core/parallel_sweep.h"
 #include "core/sweep_walk.h"
 #include "hash/target_index.h"
-#include "keyspace/interval.h"
 #include "support/error.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
 
 namespace gks::core {
 namespace {
@@ -31,44 +30,33 @@ MultiCrackResult crack_with(const keyspace::Generator& generator,
   }
 
   ThreadPool pool(threads);
-  keyspace::IntervalCursor cursor(
-      keyspace::Interval(u128(0), generator.size()));
-  const u128 slice(1u << 16);
+  std::mutex mu;  // guards result and outstanding
   std::size_t outstanding = unique.size();
-
-  while (!cursor.exhausted() && outstanding > 0) {
-    const keyspace::Interval round = cursor.take(slice);
-    const auto parts = static_cast<std::size_t>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(round.size().to_double() / 512) + 1,
-        pool.size()));
-    const auto sub = keyspace::split_even(round, parts);
-
-    std::vector<std::vector<std::pair<std::uint32_t, std::string>>> hits(
-        sub.size());
-    pool.parallel_for(sub.size(), [&](std::size_t p) {
-      hash_candidates<Hasher>(
-          generator, salt, sub[p],
-          [&](u128, const std::string& key, const DigestT& digest) {
-            hash::for_each_digest_match(
-                index, unique, digest,
-                [&](std::uint32_t u) { hits[p].emplace_back(u, key); });
-          });
-    });
-
-    result.tested += round.size();
-    result.intervals += sub.size();
-    for (const auto& part : hits) {
-      for (const auto& [u, key] : part) {
-        if (result.targets[slots[u].front()].found) continue;
-        for (const std::size_t slot : slots[u]) {
-          result.targets[slot].found = true;
-          result.targets[slot].key = key;
-          ++result.cracked;
+  parallel_sweep(
+      pool, keyspace::Interval(u128(0), generator.size()),
+      [&](std::size_t, const keyspace::Interval& ids) {
+        std::vector<std::pair<std::uint32_t, std::string>> hits;
+        hash_candidates<Hasher>(
+            generator, salt, ids,
+            [&](u128, const std::string& key, const DigestT& digest) {
+              hash::for_each_digest_match(
+                  index, unique, digest,
+                  [&](std::uint32_t u) { hits.emplace_back(u, key); });
+            });
+        std::lock_guard lock(mu);
+        result.tested += ids.size();
+        ++result.intervals;
+        for (const auto& [u, key] : hits) {
+          if (result.targets[slots[u].front()].found) continue;
+          for (const std::size_t slot : slots[u]) {
+            result.targets[slot].found = true;
+            result.targets[slot].key = key;
+            ++result.cracked;
+          }
+          --outstanding;
         }
-        --outstanding;
-      }
-    }
-  }
+        return outstanding > 0;
+      });
 
   result.elapsed_s = timer.seconds();
   return result;

@@ -3,9 +3,9 @@
 #include <string>
 #include <vector>
 
+#include "core/search_space.h"
 #include "hash/digest.h"
 #include "hash/salted.h"
-#include "keyspace/charset.h"
 #include "support/uint128.h"
 
 namespace gks::core {
@@ -17,18 +17,15 @@ namespace gks::core {
 /// of target count, so auditing a whole credential store sweeps at
 /// essentially the single-target rate (see docs/multi_target.md).
 ///
-/// All targets must share the algorithm, charset, length range and
-/// salt scheme; differently-salted credentials need separate sweeps
-/// (their message tails differ — that is exactly how salting defeats
-/// batch attacks on mismatched salts).
-struct MultiCrackRequest {
-  hash::Algorithm algorithm = hash::Algorithm::kMd5;
+/// All targets share the search space, salt scheme included;
+/// differently-salted credentials need separate sweeps (their message
+/// tails differ — that is exactly how salting defeats batch attacks on
+/// mismatched salts).
+struct MultiCrackRequest : SearchSpace {
   std::vector<std::string> target_hexes;
-  keyspace::Charset charset = keyspace::Charset::alphanumeric();
-  unsigned min_length = 1;
-  unsigned max_length = 8;
-  hash::SaltSpec salt;
 
+  /// SearchSpace::validate plus this request's own checks: at least
+  /// one digest, MD5 or SHA1 only, each digest the algorithm's length.
   void validate() const;
 };
 
@@ -44,8 +41,9 @@ struct MultiCrackResult {
   std::vector<MultiTargetVerdict> targets;  ///< in request order
   std::size_t cracked = 0;
   u128 tested{0};
-  /// Identifier intervals dispatched to workers over the sweep — the
-  /// dispatch-granularity observable tools report in --json mode.
+  /// Chunks the host threads claimed off the sweep driver
+  /// (parallel_sweep) and scanned — the dispatch-granularity
+  /// observable tools report in --json mode.
   std::uint64_t intervals = 0;
   double elapsed_s = 0;
   /// TargetIndex gate traffic over the sweep: candidates that passed

@@ -170,8 +170,7 @@ constexpr std::size_t kCompactMin = 256;
 MultiSweeper::MultiSweeper(MultiCrackRequest request)
     : request_(std::move(request)),
       parsed_(std::make_unique<Parsed>()),
-      walk_((request_.validate(), request_.algorithm), request_.charset,
-            request_.min_length, request_.max_length, request_.salt) {
+      walk_((request_.validate(), request_)) {
   parsed_->visit(request_.algorithm, [&](auto& set) {
     // dedup_digests leaves `unique` sorted, so the lookup starts as
     // (unique[u], u).

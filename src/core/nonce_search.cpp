@@ -1,8 +1,8 @@
 #include "core/nonce_search.h"
 
 #include <atomic>
-#include <algorithm>
 
+#include "core/parallel_sweep.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
@@ -56,32 +56,31 @@ MiningResult mine_nonce(const BlockHeader& header, unsigned target_zero_bits,
   const auto midstate = prefix.midstate();
 
   ThreadPool pool(threads);
-  const std::size_t workers = pool.size();
   std::atomic<std::uint64_t> best_nonce{~0ull};
   std::atomic<std::uint64_t> tested{0};
 
-  pool.parallel_for(workers, [&](std::size_t w) {
-    // Strided partition keeps all threads near the range start, so
-    // the first satisfying nonce is found quickly in expectation.
-    std::array<std::uint8_t, 16> tail;
-    std::copy(header.bytes.begin() + 64, header.bytes.end(), tail.begin());
+  // Claims are ascending, and a claim stops at the first satisfying
+  // nonce or once it passes the best one found so far, so every nonce
+  // below the final best is tested and the result does not depend on
+  // the thread count. Once a hit is known the sweep stops: every claim
+  // not yet started lies above it.
+  parallel_sweep(pool, keyspace::Interval(u128(begin), u128(end)),
+                 [&](std::size_t, const keyspace::Interval& ids) {
+    BlockHeader candidate = header;
+    const std::span<const std::uint8_t> tail(candidate.bytes.data() + 64, 16);
     std::uint64_t local_tested = 0;
-    for (std::uint64_t nonce = begin + w; nonce < end; nonce += workers) {
+    for (std::uint64_t nonce = ids.begin.low64(); nonce < ids.end.low64();
+         ++nonce) {
       if (best_nonce.load(std::memory_order_relaxed) < nonce) break;
-      tail[12] = static_cast<std::uint8_t>(nonce);
-      tail[13] = static_cast<std::uint8_t>(nonce >> 8);
-      tail[14] = static_cast<std::uint8_t>(nonce >> 16);
-      tail[15] = static_cast<std::uint8_t>(nonce >> 24);
-
+      candidate.set_nonce(static_cast<std::uint32_t>(nonce));
       hash::Sha256 h;
       h.restore(midstate, 64);
-      h.update(std::span<const std::uint8_t>(tail));
+      h.update(tail);
       const auto inner = h.finalize();
       const auto outer =
           hash::Sha256::digest(std::span<const std::uint8_t>(inner.bytes));
       ++local_tested;
       if (leading_zero_bits(outer) >= target_zero_bits) {
-        // Keep the smallest satisfying nonce for determinism.
         std::uint64_t expected = best_nonce.load();
         while (nonce < expected &&
                !best_nonce.compare_exchange_weak(expected, nonce)) {
@@ -90,6 +89,7 @@ MiningResult mine_nonce(const BlockHeader& header, unsigned target_zero_bits,
       }
     }
     tested.fetch_add(local_tested);
+    return best_nonce.load(std::memory_order_relaxed) == ~0ull;
   });
 
   result.tested = tested.load();

@@ -3,10 +3,8 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "hash/sha256.h"
-#include "support/thread_pool.h"
 
 namespace gks::core {
 
@@ -44,7 +42,9 @@ struct MiningResult {
 /// [begin, end) such that SHA256d(header) has at least
 /// `target_zero_bits` leading zeros. Caches the midstate of the first
 /// 64-byte block — the paper's "save the intermediate result, process
-/// only the last block" optimization — and fans out across `threads`.
+/// only the last block" optimization — and sweeps with `threads` host
+/// threads (parallel_sweep). Returns the smallest satisfying nonce
+/// whatever the thread count.
 MiningResult mine_nonce(const BlockHeader& header, unsigned target_zero_bits,
                         std::uint64_t begin, std::uint64_t end,
                         std::size_t threads = 0);

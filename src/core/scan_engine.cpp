@@ -9,19 +9,10 @@
 #include "support/stopwatch.h"
 
 namespace gks::core {
-namespace {
-
-CrackRequest validated(CrackRequest request) {
-  request.validate();
-  return request;
-}
-
-}  // namespace
 
 ScanPlan::ScanPlan(CrackRequest request)
-    : request_(validated(std::move(request))),
-      walk_(request_.algorithm, request_.charset, request_.min_length,
-            request_.max_length, request_.salt),
+    : request_(std::move(request)),
+      walk_((request_.validate(), request_)),
       target_(visit_hasher(request_.algorithm, [&](auto hasher) {
         using Digest = DigestOf<typename decltype(hasher)::type>;
         return decltype(target_)(Digest::from_hex(request_.target_hex));

@@ -9,14 +9,10 @@
 
 namespace gks::core {
 
-SweepWalk::SweepWalk(hash::Algorithm algorithm,
-                     const keyspace::Charset& charset, unsigned min_length,
-                     unsigned max_length, hash::SaltSpec salt)
-    : algorithm_(algorithm),
-      generator_(
-          keyspace::KeyCodec(charset, keyspace::DigitOrder::kPrefixFastest),
-          min_length, max_length),
-      salt_(std::move(salt)) {}
+SweepWalk::SweepWalk(const SearchSpace& space)
+    : algorithm_(space.algorithm),
+      generator_(space.make_generator()),
+      salt_(space.salt) {}
 
 TailBlock SweepWalk::block_at(u128 id, u128 end) const {
   std::string first_key;

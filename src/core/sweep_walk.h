@@ -6,6 +6,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "core/search_space.h"
 #include "hash/digest.h"
 #include "hash/md5.h"
 #include "hash/md5_crack.h"
@@ -39,14 +40,13 @@ struct TailBlock {
   std::optional<Word0Start> word0;
 };
 
-/// The candidate walk the sweep engines share: one request's
-/// brute-force enumeration (prefix-fastest order) split into tail
-/// blocks, each set up for the word-0 kernels or left to the full-hash
-/// loop. Each engine keeps only its per-block kernel call.
+/// The candidate walk the sweep engines share: one search space's
+/// enumeration (prefix-fastest order) split into tail blocks, each set
+/// up for the word-0 kernels or left to the full-hash loop. Each engine
+/// keeps only its per-block kernel call.
 class SweepWalk {
  public:
-  SweepWalk(hash::Algorithm algorithm, const keyspace::Charset& charset,
-            unsigned min_length, unsigned max_length, hash::SaltSpec salt);
+  explicit SweepWalk(const SearchSpace& space);
 
   /// The enumeration; ids are generator-relative (0 is the first key
   /// of min_length).

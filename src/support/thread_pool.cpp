@@ -61,19 +61,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  join_all(futures);
-}
-
 void ThreadPool::parallel_chunks(
     std::uint64_t n, std::uint64_t chunk,
-    const std::function<void(std::size_t, std::uint64_t, std::uint64_t)>& fn) {
+    const std::function<bool(std::size_t, std::uint64_t, std::uint64_t)>& fn) {
   if (n == 0) return;
   if (chunk == 0) chunk = 1;
   const std::uint64_t n_chunks = (n + chunk - 1) / chunk;
@@ -83,15 +73,25 @@ void ThreadPool::parallel_chunks(
   // Stack state is safe: every future is joined before returning,
   // exceptions included (join_all).
   std::atomic<std::uint64_t> cursor{0};
+  std::atomic<bool> stop{false};
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(submit([&fn, &cursor, n, chunk, w] {
-      for (;;) {
+    futures.push_back(submit([&fn, &cursor, &stop, n, chunk, w] {
+      // The stop is checked before each claim, so a stopped loop ends
+      // at once however many chunks are left.
+      while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t begin =
             cursor.fetch_add(chunk, std::memory_order_relaxed);
         if (begin >= n) return;
-        fn(w, begin, std::min(begin + chunk, n));
+        try {
+          if (!fn(w, begin, std::min(begin + chunk, n))) {
+            stop.store(true, std::memory_order_relaxed);
+          }
+        } catch (...) {
+          stop.store(true, std::memory_order_relaxed);
+          throw;
+        }
       }
     }));
   }

@@ -20,10 +20,11 @@ namespace gks {
 ///
 /// Work items are `std::function<void()>`; submit() returns a future so
 /// callers can join on completion or propagate exceptions. The queue is
-/// plain FIFO with no work stealing; callers whose items have uneven
+/// plain FIFO with no work stealing; loops whose items have uneven
 /// cost (early hash exits, heterogeneous cores) use parallel_chunks,
 /// which self-schedules over an atomic cursor instead of relying on a
-/// static pre-partition.
+/// static pre-partition. Every host key sweep drives it through
+/// core::parallel_sweep.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (defaults to hardware concurrency, min 1).
@@ -60,11 +61,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for all
-  /// completions. Exceptions from any invocation are rethrown (first
-  /// one wins).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// Self-scheduled loop over an index range: the `n` items are claimed
   /// in chunks of at most `chunk` (minimum 1) by whichever worker is
   /// free, via an atomic cursor, so uneven chunk costs no longer leave
@@ -72,11 +68,13 @@ class ThreadPool {
   /// end) is called with a dense worker index in [0, k), k =
   /// min(size(), ceil(n/chunk)), usable for per-worker accumulators;
   /// chunks are claimed in ascending order but may execute
-  /// concurrently. Waits for completion; exceptions are rethrown
-  /// (first submitted worker wins).
+  /// concurrently. Once any fn returns false or throws, no further
+  /// chunk is claimed and the call returns when the running ones
+  /// finish. Waits for completion; exceptions are rethrown (first
+  /// submitted worker wins).
   void parallel_chunks(
       std::uint64_t n, std::uint64_t chunk,
-      const std::function<void(std::size_t, std::uint64_t, std::uint64_t)>&
+      const std::function<bool(std::size_t, std::uint64_t, std::uint64_t)>&
           fn);
 
  private:

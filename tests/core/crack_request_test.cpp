@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "support/error.h"
-
+#include "core/multi_crack.h"
 #include "hash/md5.h"
 #include "hash/sha1.h"
+#include "hash/sha256.h"
+#include "support/error.h"
 
 namespace gks::core {
 namespace {
@@ -66,6 +67,65 @@ TEST(CrackRequest, ValidateRejectsBadLengths) {
   r.min_length = 1;
   r.max_length = 21;  // beyond the kernel limit
   EXPECT_THROW(r.validate(), InvalidArgument);
+}
+
+/// Both request types over `space`, each with one well-formed MD5
+/// digest, so only the space can make validate() throw.
+CrackRequest single(const SearchSpace& space) {
+  return {space, hash::Md5::digest("abc").to_hex()};
+}
+MultiCrackRequest batch(const SearchSpace& space) {
+  return {space, {hash::Md5::digest("abc").to_hex()}};
+}
+
+TEST(SearchSpace, BothRequestTypesRejectTheSameBadSpaces) {
+  const keyspace::Charset lower = keyspace::Charset::lower();
+  const std::string salt36(36, 's');  // 20 + 36 = 56 bytes: one too many
+  const struct {
+    const char* name;
+    SearchSpace space;
+  } bad[] = {
+      {"min 0", {hash::Algorithm::kMd5, lower, 0, 5, {}}},
+      {"min > max", {hash::Algorithm::kMd5, lower, 6, 5, {}}},
+      {"max 21", {hash::Algorithm::kMd5, lower, 1, 21, {}}},
+      {"prefix salt to 56",
+       {hash::Algorithm::kMd5, lower, 1, 20,
+        {hash::SaltPosition::kPrefix, salt36}}},
+      {"suffix salt to 56",
+       {hash::Algorithm::kMd5, lower, 1, 20,
+        {hash::SaltPosition::kSuffix, salt36}}},
+  };
+  for (const auto& c : bad) {
+    EXPECT_THROW(c.space.validate(), InvalidArgument) << c.name;
+    EXPECT_THROW(single(c.space).validate(), InvalidArgument) << c.name;
+    EXPECT_THROW(batch(c.space).validate(), InvalidArgument) << c.name;
+  }
+  // 55 bytes still fit one block, either side of the key.
+  for (const auto position :
+       {hash::SaltPosition::kPrefix, hash::SaltPosition::kSuffix}) {
+    const SearchSpace edge{hash::Algorithm::kMd5, lower, 1, 20,
+                           {position, std::string(35, 's')}};
+    EXPECT_NO_THROW(single(edge).validate());
+    EXPECT_NO_THROW(batch(edge).validate());
+  }
+}
+
+TEST(SearchSpace, Sha256IsASingleTargetAlgorithmOnly) {
+  const SearchSpace space{hash::Algorithm::kSha256, keyspace::Charset::lower(),
+                          1, 4, {}};
+  const std::string hex = hash::Sha256::digest("abc").to_hex();
+  EXPECT_NO_THROW((CrackRequest{space, hex}.validate()));
+  EXPECT_THROW((MultiCrackRequest{space, {hex}}.validate()), InvalidArgument);
+}
+
+TEST(SearchSpace, BothRequestTypesNumberKeysAlike) {
+  const CrackRequest r = md5_request("abc");
+  const MultiCrackRequest m{r, {r.target_hex}};
+  for (const char* key : {"a", "z", "abc", "zzzzz", "qwert"}) {
+    EXPECT_EQ(m.id_of(key), r.id_of(key)) << key;
+    EXPECT_EQ(r.make_generator().at(r.id_of(key)), key);
+  }
+  EXPECT_EQ(m.space_size(), r.space_size());
 }
 
 TEST(CrackRequest, ValidateRejectsDigestAlgorithmMismatch) {

@@ -14,8 +14,11 @@ namespace {
 
 TEST(LocalCracker, CracksAnMd5Password) {
   const LocalCracker cracker(2);
-  const auto result = cracker.crack_md5(hash::Md5::digest("dog").to_hex(),
-                                        keyspace::Charset::lower(), 1, 4);
+  CrackRequest request;
+  request.target_hex = hash::Md5::digest("dog").to_hex();
+  request.charset = keyspace::Charset::lower();
+  request.max_length = 4;
+  const auto result = cracker.crack(request);
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.key, "dog");
   EXPECT_GT(result.throughput, 0.0);

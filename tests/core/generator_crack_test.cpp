@@ -25,6 +25,17 @@ TEST(GeneratorCrack, MaskAttackRecoversPatternedKey) {
   EXPECT_EQ(result.targets[0].key, secret);
 }
 
+TEST(GeneratorCrack, StopsEarlyWhenAllFound) {
+  // The target is the mask's first candidate: once its claim reports
+  // it, no further claim may start.
+  const keyspace::MaskGenerator mask("?l?l?l?l?l");
+  const auto result = crack_generator(
+      mask, hash::Algorithm::kMd5, {hash::Md5::digest(mask.at(u128(0))).to_hex()},
+      {}, 4);
+  ASSERT_EQ(result.cracked, 1u);
+  EXPECT_LT(result.tested, mask.size());
+}
+
 TEST(GeneratorCrack, DictionaryAttackWithMangling) {
   const keyspace::DictionaryGenerator words(
       {"password", "dragon", "letmein"},

@@ -117,13 +117,7 @@ HitSet scan_plan_hits(const CrackRequest& r) {
 }
 
 HitSet sweeper_hits(const CrackRequest& r) {
-  MultiCrackRequest m;
-  m.algorithm = r.algorithm;
-  m.charset = r.charset;
-  m.min_length = r.min_length;
-  m.max_length = r.max_length;
-  m.salt = r.salt;
-  m.target_hexes = {r.target_hex};
+  MultiCrackRequest m{r, {r.target_hex}};
   // Decoys outside the space: they share the gate and the contexts but
   // must never be reported.
   for (const char* decoy : {"D0", "decoy", "DECOY5", "kqkq8q"}) {
@@ -219,7 +213,7 @@ TEST(SweepWalk, UpperCaseTargetHexMatchesOnTheFullHashPath) {
 
 TEST(SweepWalk, BlocksShareLengthAndTailAndTakeTheRightPath) {
   for (const hash::SaltSpec& salt : {hash::SaltSpec{}, kSuffix, kPrefix}) {
-    const SweepWalk walk(hash::Algorithm::kMd5, kCharset, 1, 6, salt);
+    const SweepWalk walk({hash::Algorithm::kMd5, kCharset, 1, 6, salt});
     const keyspace::Interval whole(u128(0), walk.generator().size());
     u128 expected_begin(0);
     std::size_t blocks = 0;
@@ -261,7 +255,7 @@ TEST(SweepWalk, BlocksShareLengthAndTailAndTakeTheRightPath) {
 }
 
 TEST(SweepWalk, BlocksAreClippedToTheIntervalAndStopOnRequest) {
-  const SweepWalk walk(hash::Algorithm::kSha1, kCharset, 1, 6, {});
+  const SweepWalk walk({hash::Algorithm::kSha1, kCharset, 1, 6, {}});
   // 3 + 9 + 27 + 81 = 120 ids precede the 5-character keys; start 10
   // ids into their first tail block and stop 5 into the third.
   const keyspace::Interval window(u128(130), u128(120 + 2 * 81 + 5));

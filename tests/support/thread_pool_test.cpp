@@ -43,22 +43,6 @@ TEST(ThreadPool, ManyTasksAllRun) {
   EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(10,
-                                 [](std::size_t i) {
-                                   if (i == 5) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
-}
-
 TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> counter{0};
   {
@@ -134,6 +118,7 @@ TEST(ThreadPool, ParallelChunksCoversEveryIndexExactlyOnce) {
                          for (std::uint64_t i = begin; i < end; ++i) {
                            hits[i].fetch_add(1);
                          }
+                         return true;
                        });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
@@ -147,6 +132,7 @@ TEST(ThreadPool, ParallelChunksWorkerIdsAreDense) {
                        [&bad](std::size_t worker, std::uint64_t,
                               std::uint64_t) {
                          if (worker >= 2) bad.fetch_add(1);
+                         return true;
                        });
   EXPECT_EQ(bad.load(), 0);
 }
@@ -155,7 +141,8 @@ TEST(ThreadPool, ParallelChunksHandlesEdgeShapes) {
   ThreadPool pool(2);
   // n == 0: no calls.
   pool.parallel_chunks(0, 8, [](std::size_t, std::uint64_t, std::uint64_t) {
-    FAIL() << "no chunks expected";
+    ADD_FAILURE() << "no chunks expected";
+    return true;
   });
   // chunk larger than n: one call covering everything.
   std::atomic<int> calls{0};
@@ -165,6 +152,7 @@ TEST(ThreadPool, ParallelChunksHandlesEdgeShapes) {
                          calls.fetch_add(1);
                          EXPECT_EQ(begin, 0u);
                          EXPECT_EQ(end, 5u);
+                         return true;
                        });
   EXPECT_EQ(calls.load(), 1);
   // chunk == 0 is clamped to 1.
@@ -173,8 +161,23 @@ TEST(ThreadPool, ParallelChunksHandlesEdgeShapes) {
                        [&covered](std::size_t, std::uint64_t begin,
                                   std::uint64_t end) {
                          covered.fetch_add(static_cast<int>(end - begin));
+                         return true;
                        });
   EXPECT_EQ(covered.load(), 3);
+}
+
+TEST(ThreadPool, ParallelChunksStopsClaimingOnceFnReturnsFalse) {
+  ThreadPool pool(4);
+  // 2^62 one-index chunks: walking the cursor to the end after the stop
+  // would never finish, so this returns only if the stop ends the loop.
+  std::atomic<int> calls{0};
+  pool.parallel_chunks(std::uint64_t{1} << 62, 1,
+                       [&calls](std::size_t, std::uint64_t, std::uint64_t) {
+                         calls.fetch_add(1);
+                         return false;
+                       });
+  EXPECT_GE(calls.load(), 1);
+  EXPECT_LE(calls.load(), 4);
 }
 
 TEST(ThreadPool, ParallelChunksPropagatesException) {
@@ -184,8 +187,19 @@ TEST(ThreadPool, ParallelChunksPropagatesException) {
                            [](std::size_t, std::uint64_t begin,
                               std::uint64_t) {
                              if (begin == 50) throw std::runtime_error("x");
+                             return true;
                            }),
       std::runtime_error);
+  // A throw also ends the claiming: 2^62 chunks would never drain.
+  EXPECT_THROW(pool.parallel_chunks(std::uint64_t{1} << 62, 1,
+                                    [](std::size_t, std::uint64_t begin,
+                                       std::uint64_t) -> bool {
+                                      if (begin >= 8) {
+                                        throw std::runtime_error("x");
+                                      }
+                                      return true;
+                                    }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, SingleThreadPoolIsSequentialAndComplete) {

@@ -21,7 +21,7 @@
 //   --suffix-mask PATTERN    hybrid: dictionary x mask tail
 //   --threads N              worker threads            [hardware]
 //   --json                   machine-readable result on stdout (keys,
-//                            throughput, intervals scanned)
+//                            throughput, chunks the threads claimed)
 
 #include <cstdio>
 #include <cstring>
@@ -280,10 +280,7 @@ int main(int argc, char** argv) {
     if (!opt.json) {
       std::printf(
           "brute force: %s candidates (charset %zu, lengths %u..%u)\n",
-          keyspace::space_size(request.charset.size(), request.min_length,
-                               request.max_length)
-              .to_string()
-              .c_str(),
+          request.space_size().to_string().c_str(),
           request.charset.size(), request.min_length, request.max_length);
     }
     return report(core::multi_crack(request, opt.threads), opt.json);
