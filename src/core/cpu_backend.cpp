@@ -4,7 +4,6 @@
 
 #include "core/parallel_sweep.h"
 #include "hash/simd/dispatch.h"
-#include "support/stopwatch.h"
 
 namespace gks::core {
 
@@ -17,36 +16,9 @@ dispatch::ScanOutcome CpuSearcher::scan(const keyspace::Interval& interval) {
 
 dispatch::ScanOutcome CpuSearcher::sweep(
     const keyspace::Interval& interval) const {
-  Stopwatch timer;
-  dispatch::ScanOutcome total;
-  if (interval.empty()) return total;
-
-  // Self-scheduled claims instead of a static even split: early hash
-  // exits and heterogeneous cores make chunk costs uneven
-  // (parallel_sweep).
-  std::vector<dispatch::ScanOutcome> partial(pool_.size());
-  parallel_sweep(pool_, interval,
-                 [this, &partial](std::size_t worker,
-                                  const keyspace::Interval& ids) {
-                   const auto out = plan_.scan(ids);
-                   auto& mine = partial[worker];
-                   mine.tested += out.tested;
-                   for (const auto& f : out.found) mine.found.push_back(f);
-                   return true;
-                 });
-
-  for (auto& o : partial) {
-    total.tested += o.tested;
-    for (auto& f : o.found) total.found.push_back(std::move(f));
-  }
-  // Claim order is nondeterministic; keep the outcome deterministic.
-  std::sort(total.found.begin(), total.found.end(),
-            [](const dispatch::Found& a, const dispatch::Found& b) {
-              return a.id < b.id;
-            });
-  // Wall time, not summed thread time: the device was busy this long.
-  total.busy_virtual_s = std::max(timer.seconds(), 1e-9);
-  return total;
+  return parallel_scan(pool_, interval, [this](const keyspace::Interval& ids) {
+    return plan_.scan(ids);
+  });
 }
 
 double CpuSearcher::theoretical_throughput() const {

@@ -1,36 +1,30 @@
 #include "core/cracker.h"
 
-#include <algorithm>
-
-#include "support/stopwatch.h"
+#include "core/parallel_sweep.h"
+#include "core/scan_engine.h"
 
 namespace gks::core {
 
 CrackResult LocalCracker::crack(const CrackRequest& request,
                                 const ProgressCallback& progress) const {
-  CpuSearcher searcher(request, threads_);  // validates the request
+  const ScanPlan plan(request);  // validates the request
+  ThreadPool pool(threads_);
+  const u128 total = request.space_size();
+  // A hit or a cancelled progress ends the claiming; the claims still
+  // running finish, and the lowest-id hit among them wins (sorted).
+  const dispatch::ScanOutcome out = parallel_scan(
+      pool, request.space_interval(),
+      [&plan](const keyspace::Interval& ids) { return plan.scan(ids); },
+      [&](const dispatch::ScanOutcome& sofar) {
+        return sofar.found.empty() &&
+               (!progress || progress(sofar.tested, total));
+      });
 
   CrackResult result;
-  Stopwatch timer;
-  keyspace::IntervalCursor cursor(request.space_interval());
-
-  // Slice size balances early-exit latency against per-slice overhead;
-  // a few million keys is well under a second on any host.
-  const u128 slice(4u << 20);
-  while (!cursor.exhausted()) {
-    const keyspace::Interval chunk = cursor.take(slice);
-    const dispatch::ScanOutcome out = searcher.scan(chunk);
-    result.tested += out.tested;
-    if (!out.found.empty()) {
-      result.found = true;
-      result.key = out.found.front().value;
-      break;
-    }
-    if (progress && !progress(result.tested, request.space_size())) {
-      break;  // caller cancelled
-    }
-  }
-  result.elapsed_s = timer.seconds();
+  result.found = !out.found.empty();
+  if (result.found) result.key = out.found.front().value;
+  result.tested = out.tested;
+  result.elapsed_s = out.busy_virtual_s;
   result.throughput =
       result.elapsed_s > 0 ? result.tested.to_double() / result.elapsed_s : 0;
   return result;

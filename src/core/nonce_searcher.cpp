@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/parallel_sweep.h"
 #include "support/error.h"
 #include "support/stopwatch.h"
 
@@ -9,36 +10,25 @@ namespace gks::core {
 
 NonceSearcher::NonceSearcher(BlockHeader header, unsigned target_zero_bits,
                              std::size_t threads)
-    : header_(header), target_zero_bits_(target_zero_bits),
-      threads_(threads) {
-  GKS_REQUIRE(target_zero_bits <= 256, "target exceeds digest size");
-}
+    : tester_(header, target_zero_bits), pool_(threads) {}
 
 dispatch::ScanOutcome NonceSearcher::scan(
     const keyspace::Interval& interval) {
   GKS_REQUIRE(interval.end <= u128(1ull << 32),
               "nonce identifiers are 32-bit values");
-  Stopwatch timer;
-  dispatch::ScanOutcome out;
-  if (interval.empty()) return out;
-
-  // Collect every satisfying nonce in the interval, not just the
-  // first: the dispatcher decides whether one suffices.
-  std::uint64_t begin = interval.begin.to_u64();
-  const std::uint64_t end = interval.end.to_u64();
-  while (begin < end) {
-    const MiningResult r =
-        mine_nonce(header_, target_zero_bits_, begin, end, threads_);
-    if (!r.nonce.has_value()) break;
-    dispatch::Found f;
-    f.id = u128(*r.nonce);
-    f.value = std::to_string(*r.nonce);
-    out.found.push_back(std::move(f));
-    begin = *r.nonce + 1;
-  }
-  out.tested = interval.size();
-  out.busy_virtual_s = std::max(timer.seconds(), 1e-9);
-  return out;
+  // Every hit, not just the first: the dispatcher decides what suffices.
+  return parallel_scan(pool_, interval, [this](const keyspace::Interval& ids) {
+    dispatch::ScanOutcome out;
+    std::uint64_t tested = 0;
+    std::uint64_t begin = ids.begin.low64();
+    while (const auto nonce =
+               tester_.first_hit(begin, ids.end.low64(), nullptr, tested)) {
+      out.found.push_back({u128(*nonce), std::to_string(*nonce)});
+      begin = *nonce + 1;
+    }
+    out.tested = u128(tested);
+    return out;
+  });
 }
 
 double NonceSearcher::theoretical_throughput() const {
@@ -46,14 +36,14 @@ double NonceSearcher::theoretical_throughput() const {
   Stopwatch timer;
   // Impossible target: pure scan speed over a small range.
   const std::uint64_t probe = 1u << 15;
-  (void)mine_nonce(header_, 256, 0, probe, threads_);
+  (void)mine_nonce(tester_.header(), 256, 0, probe, pool_.size());
   calibrated_peak_ = probe / std::max(timer.seconds(), 1e-9);
   return calibrated_peak_;
 }
 
 std::string NonceSearcher::description() const {
-  return "SHA256d nonce search (>= " + std::to_string(target_zero_bits_) +
-         " zero bits)";
+  return "SHA256d nonce search (>= " +
+         std::to_string(tester_.target_zero_bits()) + " zero bits)";
 }
 
 }  // namespace gks::core

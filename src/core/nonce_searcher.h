@@ -3,6 +3,7 @@
 #include "core/nonce_search.h"
 #include "dispatch/search.h"
 #include "keyspace/interval.h"
+#include "support/thread_pool.h"
 
 namespace gks::core {
 
@@ -19,11 +20,12 @@ namespace gks::core {
 /// is exercised with a non-unique solution set.
 class NonceSearcher final : public dispatch::IntervalSearcher {
  public:
-  /// `threads` bounds the host threads used per scan (0 = hardware).
+  /// `threads` sizes the searcher's pool (0 = hardware).
   NonceSearcher(BlockHeader header, unsigned target_zero_bits,
                 std::size_t threads = 0);
 
   /// Interval identifiers are nonce values; both ends must fit 32 bits.
+  /// One parallel_scan collects every satisfying nonce, sorted by id.
   dispatch::ScanOutcome scan(const keyspace::Interval& interval) override;
 
   bool is_simulated() const override { return false; }
@@ -31,9 +33,8 @@ class NonceSearcher final : public dispatch::IntervalSearcher {
   std::string description() const override;
 
  private:
-  BlockHeader header_;
-  unsigned target_zero_bits_;
-  std::size_t threads_;
+  NonceTester tester_;
+  ThreadPool pool_;
   mutable double calibrated_peak_ = 0;
 };
 

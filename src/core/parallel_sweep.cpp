@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+
+#include "support/stopwatch.h"
 
 namespace gks::core {
 
@@ -53,6 +56,31 @@ void parallel_sweep(
         });
     base += u128(batch);
   }
+}
+
+dispatch::ScanOutcome parallel_scan(
+    ThreadPool& pool, const keyspace::Interval& interval,
+    const std::function<dispatch::ScanOutcome(const keyspace::Interval&)>&
+        scan,
+    const std::function<bool(const dispatch::ScanOutcome&)>& more) {
+  Stopwatch timer;
+  dispatch::ScanOutcome total;
+  if (interval.empty()) return total;
+  std::mutex mu;
+  bool go = true;  // guarded by mu; false once `more` said so
+  parallel_sweep(pool, interval,
+                 [&](std::size_t, const keyspace::Interval& ids) {
+                   dispatch::ScanOutcome out = scan(ids);
+                   std::lock_guard lock(mu);
+                   total.tested += out.tested;
+                   for (auto& f : out.found) total.found.push_back(std::move(f));
+                   go = go && (!more || more(total));
+                   return go;
+                 });
+  std::ranges::sort(total.found, {}, &dispatch::Found::id);
+  // Wall time, not summed thread time: the device was busy this long.
+  total.busy_virtual_s = std::max(timer.seconds(), 1e-9);
+  return total;
 }
 
 }  // namespace gks::core

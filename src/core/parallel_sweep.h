@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "dispatch/search.h"
 #include "keyspace/interval.h"
 #include "support/thread_pool.h"
 
@@ -25,5 +26,17 @@ namespace gks::core {
 void parallel_sweep(
     ThreadPool& pool, const keyspace::Interval& interval,
     const std::function<bool(std::size_t, const keyspace::Interval&)>& fn);
+
+/// parallel_sweep for a host IntervalSearcher: scan(ids) tests one
+/// claim, and the claims' outcomes merge into one, found sorted by id
+/// (claim order is nondeterministic) and busy_virtual_s the wall time.
+/// After each merge, `more` (when set) sees the running total under the
+/// merge's lock: its calls are serialized, see monotone totals and end
+/// at the first false, after which no further claim starts.
+dispatch::ScanOutcome parallel_scan(
+    ThreadPool& pool, const keyspace::Interval& interval,
+    const std::function<dispatch::ScanOutcome(const keyspace::Interval&)>&
+        scan,
+    const std::function<bool(const dispatch::ScanOutcome&)>& more = {});
 
 }  // namespace gks::core

@@ -1,12 +1,10 @@
 #include "core/scan_engine.h"
 
-#include <algorithm>
 #include <string>
 
 #include "hash/sha1_crack.h"
 #include "hash/simd/dispatch.h"
 #include "support/error.h"
-#include "support/stopwatch.h"
 
 namespace gks::core {
 
@@ -65,7 +63,6 @@ dispatch::ScanOutcome ScanPlan::scan(
     const keyspace::Interval& interval) const {
   GKS_REQUIRE(interval.end <= walk_.generator().size(),
               "interval outside the request's key space");
-  Stopwatch timer;
   dispatch::ScanOutcome out;
   walk_.for_each_block(interval, [&](TailBlock& block) {
     if (block.word0) {
@@ -76,7 +73,6 @@ dispatch::ScanOutcome ScanPlan::scan(
     out.tested += block.ids.size();
     return true;
   });
-  out.busy_virtual_s = std::max(timer.seconds(), 1e-9);
   return out;
 }
 

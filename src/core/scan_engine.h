@@ -23,7 +23,7 @@ class ScanPlan {
   const CrackRequest& request() const { return request_; }
 
   /// Scans [interval.begin, interval.end) of generator-relative ids on
-  /// the calling thread. busy_virtual_s is the measured wall time.
+  /// the calling thread. busy_virtual_s is left 0: the callers time.
   dispatch::ScanOutcome scan(const keyspace::Interval& interval) const;
 
  private:

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 #include <vector>
 
+#include "core/parallel_sweep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/crc32.h"
@@ -120,7 +120,8 @@ WorkerDaemon::WorkerDaemon(Transport& transport, WorkerConfig config)
       rng_(config_.backoff_seed != 0
                ? config_.backoff_seed
                : 0x9e3779b97f4a7c15ULL ^ crc32(config_.name)),
-      rto_(config_.recv_timeout_s) {
+      rto_(config_.recv_timeout_s),
+      pool_(config_.threads) {
   GKS_REQUIRE(config_.threads > 0, "worker needs at least one scan thread");
   GKS_REQUIRE(config_.recv_timeout_s > 0, "recv timeout must be positive");
   GKS_REQUIRE(config_.reconnect_backoff_s > 0,
@@ -139,15 +140,13 @@ WorkerDaemon::Stats WorkerDaemon::stats() const {
   return stats_;
 }
 
+double WorkerDaemon::scan_rate() const {
+  std::lock_guard lock(stats_mu_);
+  return busy_s_ > 0 ? stats_.keys_scanned.to_double() / busy_s_ : 0;
+}
+
 u128 WorkerDaemon::chunk_size() const {
-  u128 scanned{0};
-  {
-    std::lock_guard lock(stats_mu_);
-    scanned = stats_.keys_scanned;
-  }
-  const double rate = busy_s_ > 0 ? scanned.to_double() / busy_s_ : 0;
-  if (rate <= 0) return kMinChunk;
-  const double target = rate * kChunkSliceS;
+  const double target = scan_rate() * kChunkSliceS;
   if (target <= kMinChunk.to_double()) return kMinChunk;
   if (target >= kMaxChunk.to_double()) return kMaxChunk;
   return u128(static_cast<std::uint64_t>(target));
@@ -158,12 +157,7 @@ u128 WorkerDaemon::lease_ask() const {
   // worker forfeits little, large enough that the request round-trip
   // amortizes. Before the first rate estimate, ask for 0 and let the
   // coordinator pick.
-  u128 scanned{0};
-  {
-    std::lock_guard lock(stats_mu_);
-    scanned = stats_.keys_scanned;
-  }
-  const double rate = busy_s_ > 0 ? scanned.to_double() / busy_s_ : 0;
+  const double rate = scan_rate();
   if (rate <= 0) return u128(0);
   const double target = rate * kLeaseTargetS;
   if (target < 1) return u128(1);
@@ -247,46 +241,29 @@ json::Value WorkerDaemon::roundtrip(Connection& conn,
 u128 WorkerDaemon::scan_chunk(core::MultiSweeper& sweeper,
                               const keyspace::Interval& iv,
                               std::vector<core::SweepHit>& hits) {
-  const std::size_t parts =
-      static_cast<std::size_t>(std::min<u128>(u128(config_.threads),
-                                              iv.size()).to_u64());
-  if (parts <= 1) {
-    return sweeper.scan(iv, hits, &interrupt_);
-  }
-
-  // Split the chunk into equal parts, one thread each. The retired
-  // count must be a contiguous prefix of the chunk, so a short part
-  // (interrupt, generation handoff) truncates the accounting at its
-  // end — later parts' work is re-scanned after re-dispatch, which the
-  // recovery dedup absorbs. Hits are kept regardless: a key is never
-  // thrown away just because its part fell past the prefix.
-  const u128 per = iv.size() / u128(static_cast<std::uint64_t>(parts));
-  std::vector<keyspace::Interval> slices;
-  u128 at = iv.begin;
-  for (std::size_t i = 0; i < parts; ++i) {
-    const u128 end = i + 1 == parts ? iv.end : at + per;
-    slices.emplace_back(at, end);
-    at = end;
-  }
-  std::vector<u128> tested(parts, u128(0));
-  std::vector<std::vector<core::SweepHit>> part_hits(parts);
-  std::vector<std::thread> threads;
-  threads.reserve(parts);
-  for (std::size_t i = 0; i < parts; ++i) {
-    threads.emplace_back([&, i] {
-      tested[i] = sweeper.scan(slices[i], part_hits[i], &interrupt_);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
+  // The retired count must be a contiguous prefix of the chunk, so a
+  // short claim (interrupt, generation handoff) ends the claiming and
+  // truncates the accounting at its end — later claims' work is
+  // re-scanned after re-dispatch, which the recovery dedup absorbs.
+  // Hits are kept regardless: a key is never thrown away just because
+  // its claim fell past the prefix.
+  std::mutex mu;
+  std::map<u128, std::pair<u128, u128>> claims;  // begin -> (size, tested)
+  core::parallel_sweep(pool_, iv,
+                       [&](std::size_t, const keyspace::Interval& ids) {
+                         std::vector<core::SweepHit> found;
+                         const u128 tested =
+                             sweeper.scan(ids, found, &interrupt_);
+                         std::lock_guard lock(mu);
+                         claims[ids.begin] = {ids.size(), tested};
+                         hits.insert(hits.end(), found.begin(), found.end());
+                         return tested == ids.size();
+                       });
   u128 prefix{0};
-  bool contiguous = true;
-  for (std::size_t i = 0; i < parts; ++i) {
-    if (contiguous) {
-      prefix += tested[i];
-      if (tested[i] < slices[i].size()) contiguous = false;
-    }
-    hits.insert(hits.end(), part_hits[i].begin(), part_hits[i].end());
+  for (const auto& [begin, claim] : claims) {
+    if (begin != iv.begin + prefix) break;
+    prefix += claim.second;
+    if (claim.second < claim.first) break;
   }
   return prefix;
 }
@@ -390,19 +367,15 @@ bool WorkerDaemon::run_lease(Connection& conn, const LeaseGrantWire& grant) {
     }
 
     done += tested;
-    u128 scanned_total{0};
     {
       std::lock_guard lock(stats_mu_);
       stats_.keys_scanned += tested;
-      scanned_total = stats_.keys_scanned;
     }
     busy_s_ += scan_s;
     lease_busy += scan_s;
     if (obs::enabled()) {
       wmetrics().chunk_s.observe(scan_s);
-      if (busy_s_ > 0) {
-        wmetrics().keys_per_s.set(scanned_total.to_double() / busy_s_);
-      }
+      wmetrics().keys_per_s.set(scan_rate());
     }
     if (lease_lost) break;
     // A short scan without an interrupt is a generation handoff (the

@@ -11,6 +11,7 @@
 #include "dist/protocol.h"
 #include "dist/transport.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "support/uint128.h"
 
 namespace gks::dist {
@@ -19,7 +20,7 @@ struct WorkerConfig {
   /// Worker identity; the coordinator scopes it per session, so
   /// duplicate names across machines are harmless.
   std::string name = "worker";
-  /// Scan threads: each leased chunk is split this many ways.
+  /// Scan threads: the size of the daemon's parallel_sweep pool.
   std::size_t threads = 1;
   /// Heartbeat cadence; the coordinator's welcome overrides it.
   double heartbeat_interval_s = 0.5;
@@ -140,8 +141,8 @@ class WorkerDaemon {
   bool serve_session(Connection& conn);
   /// Scans one granted lease; returns false when the connection died.
   bool run_lease(Connection& conn, const LeaseGrantWire& grant);
-  /// Splits `iv` across the scan threads; returns the prefix-
-  /// contiguous tested count and appends hits.
+  /// Sweeps `iv` on the scan pool; returns the prefix-contiguous
+  /// tested count and appends hits.
   u128 scan_chunk(core::MultiSweeper& sweeper, const keyspace::Interval& iv,
                   std::vector<core::SweepHit>& hits);
   /// Stamps the next request id on `body`, sends it and returns the
@@ -154,6 +155,8 @@ class WorkerDaemon {
   /// none in flight) was cancelled under us.
   bool apply_ack(const AckMsg& ack, std::uint64_t lease_id);
   void apply_dead(const std::vector<FoundUpdate>& dead);
+  /// Keys per scan second so far; 0 before the first chunk.
+  double scan_rate() const;
   u128 chunk_size() const;
   u128 lease_ask() const;
 
@@ -179,6 +182,9 @@ class WorkerDaemon {
   double busy_s_ = 0;  ///< wall seconds inside scan() (rate estimate)
   mutable std::mutex stats_mu_;
   Stats stats_;
+  /// Scan threads for the daemon's lifetime; declared last so it is
+  /// destroyed first, while everything its workers touch still lives.
+  ThreadPool pool_;
 };
 
 }  // namespace gks::dist

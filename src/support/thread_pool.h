@@ -14,9 +14,8 @@
 
 namespace gks {
 
-/// Fixed-size worker pool used by the CPU cracking backend (fine-grain
-/// parallelism on the host, the CPU analogue of a CUDA grid) and by the
-/// simulated network to run node event loops.
+/// Fixed-size worker pool that the host sweeps run on (fine-grain
+/// parallelism on the host, the CPU analogue of a CUDA grid).
 ///
 /// Work items are `std::function<void()>`; submit() returns a future so
 /// callers can join on completion or propagate exceptions. The queue is

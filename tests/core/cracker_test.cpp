@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
+#include <thread>
 
 #include "support/error.h"
 
@@ -99,7 +102,7 @@ TEST(LocalCracker, ProgressCallbackSeesMonotoneCoverage) {
   request.target_hex = hash::Md5::digest("absent!").to_hex();
   request.charset = keyspace::Charset("abcdef");
   request.min_length = 1;
-  request.max_length = 9;  // ~12M candidates: several slices
+  request.max_length = 9;  // ~12M candidates: many claims
 
   u128 last_tested(0);
   u128 seen_total(0);
@@ -118,6 +121,31 @@ TEST(LocalCracker, ProgressCallbackSeesMonotoneCoverage) {
   EXPECT_EQ(result.tested, request.space_size());
 }
 
+TEST(LocalCracker, ProgressCallsNeverOverlap) {
+  CrackRequest request;
+  request.algorithm = hash::Algorithm::kMd5;
+  request.target_hex = hash::Md5::digest("absent!").to_hex();
+  request.charset = keyspace::Charset("abcdef");
+  request.min_length = 1;
+  request.max_length = 8;  // ~2M candidates: hundreds of claims
+
+  std::atomic<bool> inside{false};
+  std::atomic<int> overlaps{0};
+  int calls = 0;
+  const auto result = LocalCracker(4).crack(
+      request, [&](const u128&, const u128&) {
+        if (inside.exchange(true)) ++overlaps;
+        ++calls;
+        // Hold the call open so that an unserialized one would overlap.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        inside.store(false);
+        return true;
+      });
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_GE(calls, 2);
+  EXPECT_EQ(result.tested, request.space_size());
+}
+
 TEST(LocalCracker, ProgressCallbackCanCancelTheSearch) {
   CrackRequest request;
   request.algorithm = hash::Algorithm::kMd5;
@@ -126,8 +154,15 @@ TEST(LocalCracker, ProgressCallbackCanCancelTheSearch) {
   request.min_length = 1;
   request.max_length = 9;
 
-  const auto result = LocalCracker(2).crack(
-      request, [](const u128&, const u128&) { return false; });
+  // The claims still running when the cancel lands merge their counts
+  // but do not call progress again.
+  std::atomic<int> calls{0};
+  const auto result = LocalCracker(4).crack(
+      request, [&](const u128&, const u128&) {
+        ++calls;
+        return false;
+      });
+  EXPECT_EQ(calls.load(), 1);
   EXPECT_FALSE(result.found);
   EXPECT_LT(result.tested, request.space_size());
   EXPECT_GT(result.tested, u128(0));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dispatch/agent.h"
 #include "support/error.h"
@@ -12,25 +14,32 @@ namespace {
 
 TEST(NonceSearcher, FindsEverySatisfyingNonceInTheInterval) {
   const BlockHeader header = BlockHeader::sample(21);
-  const unsigned bits = 10;  // ~1 hit per 1024 nonces
-  NonceSearcher searcher(header, bits, 2);
+  const unsigned bits = 8;  // ~1 hit per 256 nonces
+  const std::uint32_t begin = 3001;
+  const std::uint32_t end = begin + (1u << 14);
 
-  const keyspace::Interval interval(u128(0), u128(1u << 14));
-  const auto out = searcher.scan(interval);
-  EXPECT_EQ(out.tested, interval.size());
-  EXPECT_GE(out.found.size(), 1u);  // 16 expected
-
-  // Every reported nonce satisfies the target; cross-check directly.
-  for (const auto& f : out.found) {
+  // The exact answer, one nonce at a time.
+  std::vector<std::uint64_t> expected;
+  for (std::uint32_t nonce = begin; nonce < end; ++nonce) {
     BlockHeader h = header;
-    h.set_nonce(static_cast<std::uint32_t>(f.id.to_u64()));
-    EXPECT_GE(leading_zero_bits(block_pow_hash(h)), bits) << f.value;
+    h.set_nonce(nonce);
+    if (leading_zero_bits(block_pow_hash(h)) >= bits) {
+      expected.push_back(nonce);
+    }
   }
+  ASSERT_GE(expected.size(), 16u);  // 64 expected
 
-  // And a direct rescan of the interval agrees on the first hit.
-  const MiningResult direct = mine_nonce(header, bits, 0, 1u << 14, 1);
-  ASSERT_TRUE(direct.nonce.has_value());
-  EXPECT_EQ(out.found.front().id, u128(*direct.nonce));
+  for (const std::size_t threads : {1u, 3u}) {
+    NonceSearcher searcher(header, bits, threads);
+    const auto out = searcher.scan({u128(begin), u128(end)});
+    EXPECT_EQ(out.tested, u128(end - begin)) << threads;
+    std::vector<std::uint64_t> ids;
+    for (const auto& f : out.found) {
+      ids.push_back(f.id.to_u64());
+      EXPECT_EQ(f.value, std::to_string(ids.back()));
+    }
+    EXPECT_EQ(ids, expected) << threads << " threads";
+  }
 }
 
 TEST(NonceSearcher, EmptyAndMissIntervals) {

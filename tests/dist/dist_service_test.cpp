@@ -121,8 +121,10 @@ TEST(DistService, TcpWorkersCrackPlantedKey) {
 // the next grant re-sends the spec so the worker rebuilds its sweeper.
 // Without that propagation the worker keeps scanning the old target
 // set, its retired intervals are journaled as covered, and the job
-// completes "done" with the new key silently missed.
-TEST(DistService, LiveTargetAddReachesCachedWorkerSweepers) {
+// completes "done" with the new key silently missed. With several scan
+// threads the handoff can land mid-chunk, where only the contiguous
+// tested prefix of the chunk's claims may retire.
+void live_target_add_reaches_cached_sweepers(std::size_t threads) {
   service::JobManager manager(coordinator_only());
   // The original target sits at the very end of the id space, so the
   // sweep must cover everything — several leases' worth.
@@ -140,7 +142,7 @@ TEST(DistService, LiveTargetAddReachesCachedWorkerSweepers) {
 
   WorkerConfig wcfg;
   wcfg.name = "w";
-  wcfg.threads = 2;
+  wcfg.threads = threads;
   WorkerDaemon worker(transport, wcfg);
   std::thread wt([&] { worker.run(coordinator.address()); });
 
@@ -167,6 +169,14 @@ TEST(DistService, LiveTargetAddReachesCachedWorkerSweepers) {
   for (const auto& [digest, key] : s.found) keys.push_back(key);
   EXPECT_NE(std::find(keys.begin(), keys.end(), first_key), keys.end());
   EXPECT_NE(std::find(keys.begin(), keys.end(), second_key), keys.end());
+}
+
+TEST(DistService, LiveTargetAddReachesCachedWorkerSweepers) {
+  live_target_add_reaches_cached_sweepers(2);
+}
+
+TEST(DistService, LiveTargetAddReachesCachedWorkerSweepersAtFourThreads) {
+  live_target_add_reaches_cached_sweepers(4);
 }
 
 // Job names are reusable once a job is terminal. A worker session that
