@@ -142,8 +142,13 @@ void BM_Sha1ScanPrefixesLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1ScanPrefixesLanes);
 
+/// One Arg per width (candidates per pass) the dispatch table compiles.
+void compiled_widths(benchmark::internal::Benchmark* b) {
+  for (const simd::ScanKernels& k : simd::compiled_kernels()) b->Arg(k.width);
+}
+
 void BM_Md5ScanWidth(benchmark::State& state) {
-  // One specific vector width (Arg), skipped when the host cannot
+  // One specific pass width (Arg), skipped when the host cannot
   // execute it — isolates the per-width codegen from the dispatcher.
   const auto* k =
       simd::kernels_for_width(static_cast<unsigned>(state.range(0)));
@@ -162,7 +167,7 @@ void BM_Md5ScanWidth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
   state.SetLabel(k->isa);
 }
-BENCHMARK(BM_Md5ScanWidth)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_Md5ScanWidth)->Apply(compiled_widths);
 
 void BM_Sha1ScanWidth(benchmark::State& state) {
   const auto* k =
@@ -182,7 +187,7 @@ void BM_Sha1ScanWidth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
   state.SetLabel(k->isa);
 }
-BENCHMARK(BM_Sha1ScanWidth)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_Sha1ScanWidth)->Apply(compiled_widths);
 
 template <std::size_t N>
 void BM_Md5Laned(benchmark::State& state) {

@@ -1,10 +1,10 @@
 // Lane-width sweep for the runtime-dispatched SIMD scanners: times the
-// scalar engine and every vector width the host can execute (4/8/16)
-// over the same word-0 keyspace slice, for MD5 and SHA1. Prints a
-// human-readable table, then the width the scan engines run for each
-// algorithm (simd::kernels_for's per-process probe), so the pick can
-// be checked against the measured best. --json emits the versioned
-// recording on stdout and --out FILE writes it to FILE (see
+// scalar engine and every width the host can execute (8/16/32
+// candidates per pass) over the same word-0 keyspace slice, for MD5 and
+// SHA1. Prints a human-readable table, then the width the scan engines
+// run for each algorithm (simd::kernels_for's per-process probe), so
+// the pick can be checked against the measured best. --json emits the
+// versioned recording on stdout and --out FILE writes it to FILE (see
 // bench_record.h) so the results can be diffed across hosts and
 // compiler flags.
 

@@ -57,25 +57,26 @@ struct Variant {
   IsaReq requires_isa;
 };
 
+// Widths are candidates per pass: two vectors of the TU's lane count.
 constexpr Variant kVariants[] = {
-    {{4, kBaseIsaName, &md5_scan_w4, &sha1_scan_w4, &md5_multi_scan_w4,
+    {{8, kBaseIsaName, &md5_scan_w4, &sha1_scan_w4, &md5_multi_scan_w4,
       &sha1_multi_scan_w4},
      IsaReq::kBaseline},
 #if defined(GKS_SIMD_W8_AVX2)
-    {{8, "avx2", &md5_scan_w8, &sha1_scan_w8, &md5_multi_scan_w8,
+    {{16, "avx2", &md5_scan_w8, &sha1_scan_w8, &md5_multi_scan_w8,
       &sha1_multi_scan_w8},
      IsaReq::kAvx2},
 #else
-    {{8, kBaseIsaName, &md5_scan_w8, &sha1_scan_w8, &md5_multi_scan_w8,
+    {{16, kBaseIsaName, &md5_scan_w8, &sha1_scan_w8, &md5_multi_scan_w8,
       &sha1_multi_scan_w8},
      IsaReq::kBaseline},
 #endif
 #if defined(GKS_SIMD_W16_AVX512)
-    {{16, "avx512f", &md5_scan_w16, &sha1_scan_w16, &md5_multi_scan_w16,
+    {{32, "avx512f", &md5_scan_w16, &sha1_scan_w16, &md5_multi_scan_w16,
       &sha1_multi_scan_w16},
      IsaReq::kAvx512f},
 #else
-    {{16, kBaseIsaName, &md5_scan_w16, &sha1_scan_w16, &md5_multi_scan_w16,
+    {{32, kBaseIsaName, &md5_scan_w16, &sha1_scan_w16, &md5_multi_scan_w16,
       &sha1_multi_scan_w16},
      IsaReq::kBaseline},
 #endif
@@ -102,10 +103,10 @@ const std::vector<ScanKernels>& available_table() {
   return table;
 }
 
-/// The lane-width probe: candidates per pass, and timed rounds. A pass
-/// takes about 12 µs at w16 MD5 on an AVX-512 host and 0.35 ms at the
-/// portable build's w16 SHA1, so the whole probe stays within a few ms
-/// per algorithm (docs/simd.md, "Calibration and scheduling").
+/// The lane-width probe: candidates per round, and timed rounds. A
+/// round takes about 8 µs at w32 MD5 on an AVX-512 host and 0.3 ms at
+/// the portable build's w16 SHA1, so the whole probe stays within a few
+/// ms per algorithm (docs/simd.md, "Calibration and scheduling").
 constexpr std::uint64_t kProbeKeys = 2048;
 constexpr int kProbeRounds = 5;
 

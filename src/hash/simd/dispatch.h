@@ -1,12 +1,12 @@
 #pragma once
 
-// Runtime dispatch for the SIMD lane-scan engine. The library compiles
-// the lane scanners at widths 4, 8 and 16 in separate translation units
-// with per-TU target flags (SSE2-baseline / AVX2 / AVX-512 where the
-// compiler supports them); this header exposes the table of compiled
-// variants, selects once per process via CPUID the subset the host can
-// actually execute, and picks once per process and algorithm the width
-// the scan engines run. See docs/simd.md for the full ladder.
+// Runtime dispatch for the SIMD lane-scan engine. Separate translation
+// units compile the lane scanners on vectors of 4, 8 and 16 lanes with
+// per-TU target flags (SSE2 baseline / AVX2 / AVX-512 where the compiler
+// supports them); a pass runs two vectors, 8/16/32 candidates. This
+// header exposes the compiled table, filters it once per process by
+// CPUID and picks once per process and algorithm the width to run.
+// See docs/simd.md for the full ladder.
 
 #include <cstdint>
 #include <optional>
@@ -44,7 +44,7 @@ using Sha1MultiScanFn = void (*)(const Sha1MultiContext&, PrefixWord0Iterator&,
 /// multi-target pointers match md5_multi_scan_prefixes /
 /// sha1_multi_scan_prefixes (every hit appended, no early stop).
 struct ScanKernels {
-  unsigned width;   ///< candidates per kernel pass (vector lanes)
+  unsigned width;   ///< candidates per kernel pass (two vectors of N lanes)
   const char* isa;  ///< codegen target the TU was built for
   Md5ScanFn md5_scan;
   Sha1ScanFn sha1_scan;
@@ -57,7 +57,7 @@ struct ScanKernels {
 std::span<const ScanKernels> compiled_kernels();
 
 /// The variants the host supports (CPUID-filtered once, then cached),
-/// width-ascending. Never empty: the width-4 variant uses baseline
+/// width-ascending. Never empty: the width-8 variant uses baseline
 /// codegen and is always executable.
 std::span<const ScanKernels> available_kernels();
 

@@ -182,4 +182,59 @@ inline bool any_lane_eq(const LaneVec<N>& a, std::uint32_t s) {
 
 #endif  // GKS_SIMD_HAVE_VECTOR_EXT
 
+/// LanePair<N>: two independent LaneVec<N> blocks in one instruction
+/// stream, lanes 0..N-1 in `lo` and N..2N-1 in `hi`: the paper's two
+/// strings per thread (Section V-B). A second step chain fills the issue
+/// slots one chain leaves idle (docs/simd.md, "Codegen").
+template <std::size_t N>
+struct LanePair {
+  static constexpr std::size_t kLanes = 2 * N;
+  using Ref = const LanePair&;
+  LaneVec<N> lo, hi;
+
+  LanePair() = default;
+  LanePair(const LaneVec<N>& l, const LaneVec<N>& h) : lo(l), hi(h) {}
+  explicit LanePair(std::uint32_t scalar) : lo(scalar), hi(scalar) {}
+
+  friend LanePair operator+(Ref a, Ref b) { return {a.lo + b.lo, a.hi + b.hi}; }
+  friend LanePair operator-(Ref a, Ref b) { return {a.lo - b.lo, a.hi - b.hi}; }
+  friend LanePair operator&(Ref a, Ref b) { return {a.lo & b.lo, a.hi & b.hi}; }
+  friend LanePair operator|(Ref a, Ref b) { return {a.lo | b.lo, a.hi | b.hi}; }
+  friend LanePair operator^(Ref a, Ref b) { return {a.lo ^ b.lo, a.hi ^ b.hi}; }
+  friend LanePair operator~(Ref a) { return {~a.lo, ~a.hi}; }
+  friend LanePair rotl(Ref a, unsigned n) {
+    return {rotl(a.lo, n), rotl(a.hi, n)};
+  }
+  friend LanePair rotr(Ref a, unsigned n) {
+    return {rotr(a.lo, n), rotr(a.hi, n)};
+  }
+  friend LanePair shr(Ref a, unsigned n) {
+    return {shr(a.lo, n), shr(a.hi, n)};
+  }
+};
+
+template <std::size_t N>
+inline std::uint32_t lane_get(const LanePair<N>& a, std::size_t i) {
+  return i < N ? lane_get(a.lo, i) : lane_get(a.hi, i - N);
+}
+
+/// Spill all 2N lanes to out[0..2N): two vector stores.
+template <std::size_t N>
+inline void lane_store(const LanePair<N>& a, std::uint32_t* out) {
+  lane_store(a.lo, out);
+  lane_store(a.hi, out + N);
+}
+
+/// Fill all 2N lanes from in[0..2N): two vector loads.
+template <std::size_t N>
+inline LanePair<N> lane_pair_load(const std::uint32_t* in) {
+  return {lane_load<N>(in), lane_load<N>(in + N)};
+}
+
+/// Does any of the 2N lanes equal `s`? Both halves, no branch between.
+template <std::size_t N>
+inline bool any_lane_eq(const LanePair<N>& a, std::uint32_t s) {
+  return any_lane_eq(a.lo, s) | any_lane_eq(a.hi, s);
+}
+
 }  // namespace gks::hash::simd

@@ -1,10 +1,10 @@
 #pragma once
 
-// Width-generic lane scanners over LaneVec<N>. This header is included
-// by exactly one translation unit per width (scan_w4/w8/w16.cpp), each
-// compiled with its own target flags, so every instantiation gets the
-// codegen of its ISA rung. Do not include it anywhere else — the
-// dispatch table (simd/dispatch.h) is the public surface.
+// Lane scanners over LanePair<N>: two vectors of N lanes per pass. This
+// header is included by exactly one translation unit per vector width
+// (scan_w4/w8/w16.cpp), each compiled with its own target flags, so
+// every instantiation gets the codegen of its ISA rung. Do not include
+// it anywhere else: the dispatch table (simd/dispatch.h) is the API.
 //
 // Semantics are bit-identical to the scalar engines: scan `count`
 // prefix-major candidates from the iterator's position, return the
@@ -15,7 +15,7 @@
 // steps 46..48 for the whole block when no lane can match (Section V-B
 // "save three more steps"); SHA1 compares the step-75 value against the
 // unfed target's `e` and skips the last four steps plus their message
-// expansion. Rare any-lane passes (true hit, or a ~N·2^-32 partial-word
+// expansion. Rare any-lane passes (true hit, or a ~2N·2^-32 partial-word
 // collision) are confirmed lane by lane with the scalar kernel, which
 // also preserves exact first-match ordering.
 
@@ -39,7 +39,7 @@ template <std::size_t N>
 std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
                                                    PrefixWord0Iterator& it,
                                                    std::uint64_t count) {
-  using W = LaneVec<N>;
+  using W = LanePair<N>;
 
   // Broadcast the fixed message words once; only word 0 varies.
   std::array<W, 16> m;
@@ -47,13 +47,13 @@ std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
   const Md5State<std::uint32_t>& rev = ctx.reverted_target();
 
   std::uint64_t scanned = 0;
-  std::array<std::uint32_t, N> word0s;
-  while (count - scanned >= N) {
+  std::array<std::uint32_t, W::kLanes> word0s;
+  while (count - scanned >= W::kLanes) {
     // Keep the block's start so a hit can reposition the iterator to
     // the candidate after the match, exactly like the scalar scanner.
     const PrefixWord0Iterator block_start = it;
-    it.next_words(word0s.data(), N);
-    m[0] = lane_load<N>(word0s.data());
+    it.next_words(word0s.data(), W::kLanes);
+    m[0] = lane_pair_load<N>(word0s.data());
 
     Md5State<W> s{W(kMd5Init[0]), W(kMd5Init[1]), W(kMd5Init[2]),
                   W(kMd5Init[3])};
@@ -64,7 +64,7 @@ std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
     // target's a rejects the whole block without steps 46..48.
     const W t45 = md5_step(45, s.a, s.b, s.c, s.d, m);
     if (any_lane_eq(t45, rev.a)) {
-      for (std::size_t l = 0; l < N; ++l) {
+      for (std::size_t l = 0; l < W::kLanes; ++l) {
         if (ctx.test(word0s[l])) {
           it = block_start;
           for (std::size_t skip = 0; skip <= l; ++skip) it.advance();
@@ -72,10 +72,10 @@ std::optional<std::uint64_t> md5_scan_prefixes_vec(const Md5CrackContext& ctx,
         }
       }
     }
-    scanned += N;
+    scanned += W::kLanes;
   }
 
-  // Scalar tail: fewer than N candidates left.
+  // Scalar tail: less than one pass left.
   if (scanned < count) {
     const auto hit = md5_scan_prefixes(ctx, it, count - scanned);
     if (hit) return scanned + *hit;
@@ -87,18 +87,18 @@ template <std::size_t N>
 std::optional<std::uint64_t> sha1_scan_prefixes_vec(
     const Sha1CrackContext& ctx, PrefixWord0Iterator& it,
     std::uint64_t count) {
-  using W = LaneVec<N>;
+  using W = LanePair<N>;
 
   std::array<W, 16> m;
   for (std::size_t w = 1; w < 16; ++w) m[w] = W(ctx.message_words()[w]);
   const Sha1State<std::uint32_t>& unfed = ctx.unfed_target();
 
   std::uint64_t scanned = 0;
-  std::array<std::uint32_t, N> word0s;
-  while (count - scanned >= N) {
+  std::array<std::uint32_t, W::kLanes> word0s;
+  while (count - scanned >= W::kLanes) {
     const PrefixWord0Iterator block_start = it;
-    it.next_words(word0s.data(), N);
-    m[0] = lane_load<N>(word0s.data());
+    it.next_words(word0s.data(), W::kLanes);
+    m[0] = lane_pair_load<N>(word0s.data());
 
     Sha1State<W> s{W(kSha1Init[0]), W(kSha1Init[1]), W(kSha1Init[2]),
                    W(kSha1Init[3]), W(kSha1Init[4])};
@@ -107,7 +107,7 @@ std::optional<std::uint64_t> sha1_scan_prefixes_vec(
     // and their expansion work.
     sha1_forward_steps(s, m, 76);
     if (any_lane_eq(rotl(s.a, 30), unfed.e)) {
-      for (std::size_t l = 0; l < N; ++l) {
+      for (std::size_t l = 0; l < W::kLanes; ++l) {
         if (ctx.test(word0s[l])) {
           it = block_start;
           for (std::size_t skip = 0; skip <= l; ++skip) it.advance();
@@ -115,7 +115,7 @@ std::optional<std::uint64_t> sha1_scan_prefixes_vec(
         }
       }
     }
-    scanned += N;
+    scanned += W::kLanes;
   }
 
   if (scanned < count) {
@@ -133,12 +133,13 @@ std::optional<std::uint64_t> sha1_scan_prefixes_vec(
 /// branchlessly so the hot loop keeps its single
 /// almost-never-taken branch.
 template <std::size_t N>
-inline std::uint32_t filter_hit_lanes(const LaneVec<N>& words,
+inline std::uint32_t filter_hit_lanes(const LanePair<N>& words,
                                       const TargetIndex& index) {
-  std::array<std::uint32_t, N> w;
+  static_assert(2 * N <= 32, "a kernel pass must fit the 32-bit hit mask");
+  std::array<std::uint32_t, 2 * N> w;
   lane_store(words, w.data());
   std::uint32_t mask = 0;
-  for (std::size_t l = 0; l < N; ++l) {
+  for (std::size_t l = 0; l < 2 * N; ++l) {
     mask |= static_cast<std::uint32_t>(index.may_match(w[l])) << l;
   }
   return mask;
@@ -150,25 +151,25 @@ inline std::uint32_t filter_hit_lanes(const LaneVec<N>& words,
 // per-candidate cost stays O(1) in the target count. No early return —
 // a batch sweep reports every hit in the range — and filter hits are
 // resolved through the context's confirm_hits from the state already
-// sitting in the vector registers: a false positive (~1/32 of
-// candidates) costs one slot lookup, never a scalar hash recompute.
+// sitting in the vector registers: a gate false positive (kGateFpr, 1/64
+// of candidates) costs one slot lookup, never a scalar hash recompute.
 // Hit order (offset ascending, slots ascending per candidate) is
 // bit-identical to the scalar md5/sha1_multi_scan_prefixes.
 
 template <std::size_t N>
 void md5_multi_scan_vec(const Md5MultiContext& ctx, PrefixWord0Iterator& it,
                         std::uint64_t count, std::vector<MultiHit>& hits) {
-  using W = LaneVec<N>;
+  using W = LanePair<N>;
 
   std::array<W, 16> m;
   for (std::size_t w = 1; w < 16; ++w) m[w] = W(ctx.message_words()[w]);
   const TargetIndex& index = ctx.index();
 
   std::uint64_t scanned = 0;
-  std::array<std::uint32_t, N> word0s;
-  while (count - scanned >= N) {
-    it.next_words(word0s.data(), N);
-    m[0] = lane_load<N>(word0s.data());
+  std::array<std::uint32_t, W::kLanes> word0s;
+  while (count - scanned >= W::kLanes) {
+    it.next_words(word0s.data(), W::kLanes);
+    m[0] = lane_pair_load<N>(word0s.data());
 
     Md5State<W> s{W(kMd5Init[0]), W(kMd5Init[1]), W(kMd5Init[2]),
                   W(kMd5Init[3])};
@@ -183,10 +184,10 @@ void md5_multi_scan_vec(const Md5MultiContext& ctx, PrefixWord0Iterator& it,
                                         lane_get(s.c, l), lane_get(s.d, l)};
       ctx.confirm_hits(word0s[l], s_l, lane_get(t45, l), scanned + l, hits);
     }
-    scanned += N;
+    scanned += W::kLanes;
   }
 
-  // Scalar tail: fewer than N candidates left.
+  // Scalar tail: less than one pass left.
   if (scanned < count) {
     const std::size_t before = hits.size();
     md5_multi_scan_prefixes(ctx, it, count - scanned, hits);
@@ -199,17 +200,17 @@ void md5_multi_scan_vec(const Md5MultiContext& ctx, PrefixWord0Iterator& it,
 template <std::size_t N>
 void sha1_multi_scan_vec(const Sha1MultiContext& ctx, PrefixWord0Iterator& it,
                          std::uint64_t count, std::vector<MultiHit>& hits) {
-  using W = LaneVec<N>;
+  using W = LanePair<N>;
 
   std::array<W, 16> m;
   for (std::size_t w = 1; w < 16; ++w) m[w] = W(ctx.message_words()[w]);
   const TargetIndex& index = ctx.index();
 
   std::uint64_t scanned = 0;
-  std::array<std::uint32_t, N> word0s;
-  while (count - scanned >= N) {
-    it.next_words(word0s.data(), N);
-    m[0] = lane_load<N>(word0s.data());
+  std::array<std::uint32_t, W::kLanes> word0s;
+  while (count - scanned >= W::kLanes) {
+    it.next_words(word0s.data(), W::kLanes);
+    m[0] = lane_pair_load<N>(word0s.data());
 
     // sha1_ring_steps rather than sha1_forward_steps: confirm_hits
     // needs the schedule ring as of step 76, and extracting it from
@@ -231,7 +232,7 @@ void sha1_multi_scan_vec(const Sha1MultiContext& ctx, PrefixWord0Iterator& it,
                                          lane_get(s.e, l)};
       ctx.confirm_hits(ring_l, s_l, scanned + l, hits);
     }
-    scanned += N;
+    scanned += W::kLanes;
   }
 
   if (scanned < count) {

@@ -1,8 +1,8 @@
 #pragma once
 
-// Internal: entry points of the per-width scanner translation units
-// (scan_w4/w8/w16.cpp). The dispatch table (dispatch.cpp) is the only
-// consumer; user code goes through simd/dispatch.h.
+// Internal: entry points of the scanner translation units scan_wN.cpp,
+// N the vector width (a pass is 2N candidates). The dispatch table
+// (dispatch.cpp) is the only consumer; user code goes through dispatch.h.
 
 #include <cstdint>
 #include <optional>

@@ -1,6 +1,6 @@
-// 16-lane scanners: one 512-bit vector of 32-bit words. Compiled with
-// -mavx512f when the compiler supports it (see src/hash/CMakeLists.txt);
-// runtime dispatch guarantees these run only on AVX-512 hosts.
+// 16-lane scanners: two 512-bit vectors of 32-bit words per pass (32
+// candidates). Built with -mavx512f when the compiler supports it (see
+// src/hash/CMakeLists.txt); dispatch runs these only on AVX-512 hosts.
 
 #include "hash/simd/scan_impl.h"
 #include "hash/simd/scan_kernels.h"

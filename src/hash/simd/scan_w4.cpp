@@ -1,5 +1,5 @@
-// 4-lane scanners: one 128-bit vector of 32-bit words. SSE2 codegen on
-// x86-64 baseline — always executable, the floor of the dispatch ladder.
+// 4-lane scanners: two 128-bit vectors per pass, 8 candidates. SSE2 on
+// x86-64 baseline: always executable, the floor of the dispatch ladder.
 
 #include "hash/simd/scan_impl.h"
 #include "hash/simd/scan_kernels.h"

@@ -1,6 +1,6 @@
-// 8-lane scanners: one 256-bit vector of 32-bit words. Compiled with
-// -mavx2 when the compiler supports it (see src/hash/CMakeLists.txt);
-// runtime dispatch guarantees these run only on AVX2 hosts.
+// 8-lane scanners: two 256-bit vectors of 32-bit words per pass (16
+// candidates). Built with -mavx2 when the compiler supports it (see
+// src/hash/CMakeLists.txt); dispatch runs these only on AVX2 hosts.
 
 #include "hash/simd/scan_impl.h"
 #include "hash/simd/scan_kernels.h"

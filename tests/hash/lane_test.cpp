@@ -7,6 +7,7 @@
 #include "hash/md5_kernel.h"
 #include "hash/sha1.h"
 #include "hash/sha1_kernel.h"
+#include "hash/simd/lane_vec.h"
 
 namespace gks::hash {
 namespace {
@@ -77,6 +78,40 @@ TEST(Lane, Sha1LanesMatchScalar) {
     EXPECT_EQ(s.a[lane], scalar.a);
     EXPECT_EQ(s.e[lane], scalar.e);
   }
+}
+
+template <std::size_t N>
+void expect_lane_pair_round_trips() {
+  // Lanes 0..N-1 live in `lo` and N..2N-1 in `hi`: load, lane_get and
+  // lane_store must agree on all 2N positions.
+  using P = simd::LanePair<N>;
+  std::array<std::uint32_t, 2 * N> in;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = 0x9e3779b9u * static_cast<std::uint32_t>(i + 1);
+  }
+  const P p = simd::lane_pair_load<N>(in.data());
+  std::array<std::uint32_t, 2 * N> out{};
+  simd::lane_store(p, out.data());
+  EXPECT_EQ(out, in);
+
+  const P mixed = rotl(p ^ P(0xffffffffu), 8) + P(1);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(simd::lane_get(p, i), in[i]) << "lane " << i;
+    EXPECT_EQ(simd::lane_get(mixed, i), rotl(~in[i], 8) + 1) << "lane " << i;
+  }
+
+  // The test must see a match that only the hi half holds.
+  EXPECT_TRUE(simd::any_lane_eq(p, in[N]));
+  EXPECT_TRUE(simd::any_lane_eq(p, in[2 * N - 1]));
+  EXPECT_TRUE(simd::any_lane_eq(p, in[0]));
+  EXPECT_FALSE(simd::any_lane_eq(p, 0u));
+}
+
+TEST(LanePair, FourLaneVectorsRoundTrip) {
+  expect_lane_pair_round_trips<4>();
+}
+TEST(LanePair, SixteenLaneVectorsRoundTrip) {
+  expect_lane_pair_round_trips<16>();
 }
 
 }  // namespace

@@ -226,6 +226,55 @@ TEST(SimdMultiScanDifferential, Sha1EveryWidthMatchesScalar) {
   }
 }
 
+TEST(SimdMultiScanDifferential, TwoHitsInOnePassOnePerHalf) {
+  // A pass runs two vectors of n lanes: keys at offsets 1 and n+1 land
+  // one in each vector of the first pass. Both must be reported,
+  // offset-ascending, each under its own slot; the targets are listed
+  // upper key first so slot order and offset order differ.
+  const Scenario sc{"abcdefghijklmnopqrstuvwxyz", 6};
+  for (const ScanKernels& k : available_kernels()) {
+    const std::uint64_t n = k.width / 2;
+    const std::uint64_t count = 2 * k.width + 3;
+    const std::vector<MultiHit> want = {{1, 1}, {n + 1, 0}};
+    const std::string label = std::to_string(k.width);
+
+    const Md5MultiContext md5_ctx(
+        std::vector<Md5Digest>{Md5::digest(key_at_offset(sc, n + 1, false)),
+                               Md5::digest(key_at_offset(sc, 1, false))},
+        shared_tail(sc, false), sc.key_len);
+    auto md5_it = iterator_for(sc, false);
+    std::vector<MultiHit> md5_hits;
+    k.md5_multi_scan(md5_ctx, md5_it, count, md5_hits);
+    EXPECT_EQ(md5_hits, want) << "md5 w" << label;
+    expect_identical_hits(
+        md5_ctx, sc, false, count,
+        [](const Md5MultiContext& c, PrefixWord0Iterator& it, std::uint64_t m,
+           std::vector<MultiHit>& h) { md5_multi_scan_prefixes(c, it, m, h); },
+        [&](const Md5MultiContext& c, PrefixWord0Iterator& it,
+            std::uint64_t m,
+            std::vector<MultiHit>& h) { k.md5_multi_scan(c, it, m, h); },
+        "md5 w" + label);
+
+    const Sha1MultiContext sha1_ctx(
+        std::vector<Sha1Digest>{Sha1::digest(key_at_offset(sc, n + 1, true)),
+                                Sha1::digest(key_at_offset(sc, 1, true))},
+        shared_tail(sc, true), sc.key_len);
+    auto sha1_it = iterator_for(sc, true);
+    std::vector<MultiHit> sha1_hits;
+    k.sha1_multi_scan(sha1_ctx, sha1_it, count, sha1_hits);
+    EXPECT_EQ(sha1_hits, want) << "sha1 w" << label;
+    expect_identical_hits(
+        sha1_ctx, sc, true, count,
+        [](const Sha1MultiContext& c, PrefixWord0Iterator& it,
+           std::uint64_t m,
+           std::vector<MultiHit>& h) { sha1_multi_scan_prefixes(c, it, m, h); },
+        [&](const Sha1MultiContext& c, PrefixWord0Iterator& it,
+            std::uint64_t m,
+            std::vector<MultiHit>& h) { k.sha1_multi_scan(c, it, m, h); },
+        "sha1 w" + label);
+  }
+}
+
 TEST(SimdMultiScanDifferential, FullSpaceSweepEveryWidth) {
   // Exhaustive sweep of a small space with every candidate planted as a
   // target: all widths must report the full hit list in order.

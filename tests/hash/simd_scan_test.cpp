@@ -86,7 +86,8 @@ std::uint64_t combinations(const Scenario& sc) {
 
 TEST(SimdDispatch, BaselineWidthAlwaysAvailable) {
   ASSERT_FALSE(available_kernels().empty());
-  EXPECT_EQ(available_kernels().front().width, 4u);
+  // Two 4-lane vectors per pass: the baseline pass covers 8 candidates.
+  EXPECT_EQ(available_kernels().front().width, 8u);
   EXPECT_EQ(kernels_for_width(3), nullptr);
 }
 
@@ -203,6 +204,68 @@ TEST(SimdScanDifferential, ResumesAfterHitAcrossWidths) {
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(*first, 0u);
     EXPECT_FALSE(k.md5_scan(ctx, it, 3).has_value());
+  }
+}
+
+/// Scans one key planted at offsets 1 and n+1 from the start: the
+/// lane engine must match the scalar one on the first hit (offset 1,
+/// iterator just past it) and on the rescan from there (offset n+1).
+template <class Ctx, class ScalarFn, class LaneFn>
+void expect_two_hits_in_one_pass(const Ctx& ctx, const Scenario& sc,
+                                 bool big_endian, std::uint64_t n,
+                                 std::uint64_t count,
+                                 const ScalarFn& scalar_scan,
+                                 const LaneFn& lane_scan,
+                                 const std::string& label) {
+  auto scalar_it = iterator_for(sc, big_endian);
+  auto lane_it = iterator_for(sc, big_endian);
+  const auto first = lane_scan(ctx, lane_it, count);
+  ASSERT_EQ(first, std::optional<std::uint64_t>(1)) << label;
+  ASSERT_EQ(scalar_scan(ctx, scalar_it, count), first) << label;
+  EXPECT_EQ(scalar_it.word0(), lane_it.word0()) << label;
+
+  const auto second = lane_scan(ctx, lane_it, count - 2);
+  ASSERT_EQ(second, std::optional<std::uint64_t>(n - 1)) << label;
+  ASSERT_EQ(scalar_scan(ctx, scalar_it, count - 2), second) << label;
+  EXPECT_EQ(scalar_it.word0(), lane_it.word0()) << label;
+}
+
+TEST(SimdScanDifferential, TwoHitsInOnePassOnePerHalf) {
+  // A pass runs two vectors of n lanes. A single-target context matches
+  // one key, so the charset repeats its second character at position
+  // n+1: the key then sits at offsets 1 and n+1, one in each vector of
+  // the first pass.
+  const std::string pool =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  for (const ScanKernels& k : available_kernels()) {
+    const std::uint64_t n = k.width / 2;
+    std::string charset = pool.substr(0, k.width + 3);
+    charset[n + 1] = charset[1];
+    const Scenario sc{charset, 6};
+    const std::uint64_t count = 2 * k.width + 3;
+    const std::string label = std::to_string(k.width);
+
+    const std::string md5_key = key_at_offset(sc, 1, false);
+    const Md5CrackContext md5_ctx(Md5::digest(md5_key), md5_key.substr(4),
+                                  md5_key.size());
+    expect_two_hits_in_one_pass(
+        md5_ctx, sc, false, n, count,
+        [](const Md5CrackContext& c, PrefixWord0Iterator& it,
+           std::uint64_t m) { return md5_scan_prefixes(c, it, m); },
+        [&](const Md5CrackContext& c, PrefixWord0Iterator& it,
+            std::uint64_t m) { return k.md5_scan(c, it, m); },
+        "md5 w" + label);
+
+    const std::string sha1_key = key_at_offset(sc, 1, true);
+    const Sha1CrackContext sha1_ctx(Sha1::digest(sha1_key),
+                                    sha1_key.substr(4), sha1_key.size());
+    expect_two_hits_in_one_pass(
+        sha1_ctx, sc, true, n, count,
+        [](const Sha1CrackContext& c, PrefixWord0Iterator& it,
+           std::uint64_t m) { return sha1_scan_prefixes(c, it, m); },
+        [&](const Sha1CrackContext& c, PrefixWord0Iterator& it,
+            std::uint64_t m) { return k.sha1_scan(c, it, m); },
+        "sha1 w" + label);
   }
 }
 
